@@ -38,9 +38,7 @@ def _load_run_dir(run_dir: str):
     else:
         cx, cy = manifest["field_center"]
         field = build_gaussian_field(config.width, config.height, v, (cx, cy))
-    m = manifest["m"]
-    part = (PlayerPartition.single(config.width, config.height) if m == 1
-            else PlayerPartition.square_tiling(config.width, m))
+    part = PlayerPartition.square_tiling(config.width, manifest["m"])
     return config, field, part, manifest
 
 
@@ -101,8 +99,7 @@ def _cmd_fragility(args) -> int:
 
 def _cmd_fines(args) -> int:
     field = build_gaussian_field(args.edge, args.edge, args.v)
-    part = (PlayerPartition.single(args.edge, args.edge) if args.m == 1
-            else PlayerPartition.square_tiling(args.edge, args.m))
+    part = PlayerPartition.square_tiling(args.edge, args.m)
     params = DynamicsParams(seed=args.seed, connectivity=args.neighborhood)
     out = {}
     for p in (float(tok) for tok in args.p.split(",")):

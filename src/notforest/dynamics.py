@@ -25,13 +25,14 @@ from dataclasses import dataclass, field as _field
 from itertools import product
 
 import numpy as np
-from scipy import ndimage
 
 from . import __version__
 from .grid import (
-    ComponentLabeling,
     GridConfig,
     PlayerPartition,
+    cells_utility,
+    label_cells,
+    label_components,
     neighbor_structure,
     player_utility,
     welfare,
@@ -87,9 +88,7 @@ class DynamicsParams:
     alpha: float = 0.0
     history: int = 1
     seed: int = 0
-    shuffle_players: bool = False
     connectivity: int = 4
-    collect_trace: bool = True
 
     def validate(self) -> None:
         for name in ("p_player", "alpha"):
@@ -151,23 +150,8 @@ def choose_actions(n_cells: int, alpha: float, history: list, rng: np.random.Gen
 _MEMO_ENTRIES = 256
 
 
-def _label_stats(cells: np.ndarray, p: np.ndarray, structure: np.ndarray):
-    labels, n = ndimage.label(cells, structure=structure)
-    masses = np.bincount(labels.ravel(), weights=p.ravel(), minlength=n + 1)[1:]
-    return labels, masses
-
-
-def _own_utility(labels: np.ndarray, masses: np.ndarray, rows, cols, cost: float) -> float:
-    """Exact utility of the player owning cells (rows, cols) from a labeling."""
-    labs = labels[rows, cols]
-    planted = labs > 0
-    if not planted.any():
-        return 0.0
-    return float(np.sum(1.0 - masses[labs[planted] - 1]) - cost * planted.sum())
-
-
-def _plant_gain(labels: np.ndarray, masses: np.ndarray, own_counts: np.ndarray,
-                y: int, x: int, p_cell_val: float, cost: float, connectivity: int) -> float:
+def _plant_gain(labeling, own_counts: np.ndarray, y: int, x: int,
+                p_cell_val: float, cost: float, connectivity: int) -> float:
     """Utility change for the owning player from planting empty cell (y, x).
 
     Planting merges the distinct neighboring components into one whose mass is
@@ -175,6 +159,7 @@ def _plant_gain(labels: np.ndarray, masses: np.ndarray, own_counts: np.ndarray,
     (1 - merged mass - cost) and every other tree the player owns in a merged
     component loses the mass increase.
     """
+    labels, masses = labeling.labels, labeling.masses
     h, w = labels.shape
     if connectivity == 4:
         offs = ((0, 1), (0, -1), (1, 0), (-1, 0))
@@ -206,7 +191,6 @@ def opt_sampled_fp(i: int, base_cells: np.ndarray, field, part: PlayerPartition,
     """
     rows, cols = part.player_cells(i)
     n_i = rows.size
-    structure = neighbor_structure(connectivity)
     p = field.p
 
     # The rest of the grid is fixed during the visit, so a labeling depends
@@ -218,23 +202,24 @@ def opt_sampled_fp(i: int, base_cells: np.ndarray, field, part: PlayerPartition,
     memo: dict[bytes, list] = {}
 
     def labeled(s: np.ndarray) -> list:
-        """[labels, masses, own component counts, utility or None] of s."""
+        """[labeling, own component counts, utility or None] of s."""
         key = s.tobytes()
         entry = memo.get(key)
         if entry is None:
             if len(memo) >= _MEMO_ENTRIES:
                 memo.clear()
             work[rows, cols] = s
-            labels, masses = _label_stats(work, p, structure)
-            own_counts = np.bincount(labels[rows, cols], minlength=len(masses) + 1)[1:]
-            entry = memo[key] = [labels, masses, own_counts, None]
+            labeling = label_cells(work, p, connectivity)
+            own_counts = np.bincount(labeling.labels[rows, cols],
+                                     minlength=labeling.n_components + 1)[1:]
+            entry = memo[key] = [labeling, own_counts, None]
         return entry
 
     def utility(s: np.ndarray) -> float:
         entry = labeled(s)
-        if entry[3] is None:
-            entry[3] = _own_utility(entry[0], entry[1], rows, cols, cost)
-        return entry[3]
+        if entry[2] is None:
+            entry[2] = cells_utility(entry[0], rows, cols, cost)
+        return entry[2]
 
     incumbent = base_cells[rows, cols]
     incumbent_util = utility(incumbent)
@@ -250,17 +235,17 @@ def opt_sampled_fp(i: int, base_cells: np.ndarray, field, part: PlayerPartition,
         # and the strict-improvement gate below still protects the incumbent.
         candidate = ref.copy()
         if selected.any():
-            labels, masses, own_counts, _ = labeled(ref)
+            labeling, own_counts, _ = labeled(ref)
             for j in np.flatnonzero(selected):
                 y, x = int(rows[j]), int(cols[j])
                 if ref[j]:
                     # Gain formula needs the labeling with this cell empty.
                     cleared = ref.copy()
                     cleared[j] = 0
-                    gain = _plant_gain(*labeled(cleared)[:3], y, x,
+                    gain = _plant_gain(*labeled(cleared)[:2], y, x,
                                        p[y, x], cost, connectivity)
                 else:
-                    gain = _plant_gain(labels, masses, own_counts, y, x,
+                    gain = _plant_gain(labeling, own_counts, y, x,
                                        p[y, x], cost, connectivity)
                 candidate[j] = 1 if gain > 0 else 0
         history.append(candidate)
@@ -292,11 +277,6 @@ def best_response_dynamics(field, part: PlayerPartition, cost: float,
     if rng is None:
         rng = np.random.Generator(np.random.PCG64(params.seed))
 
-    structure = neighbor_structure(params.connectivity)
-    cells = np.zeros((part.height, part.width), dtype=np.uint8)
-    trajectory = []
-    trace = []
-    p = field.p
     if (field.width, field.height) != (part.width, part.height):
         raise ValueError("field dimensions do not match partition")
 
@@ -304,33 +284,36 @@ def best_response_dynamics(field, part: PlayerPartition, cost: float,
     p_cells = [params.p_cell if params.p_cell is not None
                else default_p_cell(rc[0].size) for rc in player_cells]
 
+    # One labeling per grid state: the grid is relabeled only when a visit
+    # changes it, and the trace rows, the trajectory and the final utilities
+    # all read that labeling.
+    cells = np.zeros((part.height, part.width), dtype=np.uint8)
+    config = GridConfig(cells)
+    labeling = label_components(config, field, params.connectivity)
+    w = welfare(config, field, cost, labeling)
+    trajectory = []
+    trace = []
     for rnd in range(t_br):
-        order = rng.permutation(part.m) if params.shuffle_players else range(part.m)
-        for i in order:
+        for i in range(part.m):
             # The per-visit skip only desynchronizes players; with a single
             # player it would just void the whole run 1 - p_player of the
             # time, so the lone player always re-optimizes.
             updated = rng.random() <= params.p_player or part.m == 1
+            rows, cols = player_cells[i]
             if updated:
                 s_i = opt_sampled_fp(i, cells, field, part, cost, t_opt,
                                      p_cells[i], params.alpha, params.history,
                                      rng, params.connectivity)
-                rows, cols = player_cells[i]
-                cells[rows, cols] = s_i
-            if params.collect_trace:
-                labels, masses = _label_stats(cells, p, structure)
-                u_i = _own_utility(labels, masses, *player_cells[i], cost)
-                sizes = np.bincount(labels.ravel(), minlength=len(masses) + 1)[1:]
-                n_planted = int(sizes.sum())
-                w = n_planted - float(np.dot(sizes, masses)) - cost * n_planted
-                trace.append((rnd, int(i), int(updated), u_i, w))
-        config = GridConfig(cells)
-        trajectory.append(welfare(config, field, cost, connectivity=params.connectivity))
+                if (s_i != cells[rows, cols]).any():
+                    cells[rows, cols] = s_i
+                    config = GridConfig(cells)
+                    labeling = label_components(config, field, params.connectivity)
+                    w = welfare(config, field, cost, labeling)
+            trace.append((rnd, i, int(updated), cells_utility(labeling, rows, cols, cost), w))
+        trajectory.append(w)
 
-    config = GridConfig(cells)
-    utilities = np.array([player_utility(config, field, part, i, cost,
-                                         connectivity=params.connectivity)
-                          for i in range(part.m)])
+    utilities = np.array([cells_utility(labeling, rows, cols, cost)
+                          for rows, cols in player_cells])
     manifest = {
         "version": __version__,
         "width": part.width,
@@ -346,7 +329,6 @@ def best_response_dynamics(field, part: PlayerPartition, cost: float,
         "alpha": params.alpha,
         "history": params.history,
         "seed": params.seed,
-        "shuffle_players": params.shuffle_players,
         "connectivity": params.connectivity,
     }
     return RunResult(config, utilities, trajectory, trace, manifest)
@@ -374,7 +356,8 @@ def is_nash(config: GridConfig, field, part: PlayerPartition, cost: float,
     cells.
     """
     part.check_dims(config.width, config.height)
-    base = [player_utility(config, field, part, i, cost, connectivity=connectivity)
+    labeling = label_components(config, field, connectivity)
+    base = [player_utility(config, field, part, i, cost, labeling)
             for i in range(part.m)]
     max_gain = -np.inf
     witness = None

@@ -166,17 +166,32 @@ class ComponentLabeling:
     """Connected components of planted cells.
 
     labels[y, x] > 0 for planted cells (component id), 0 for empty cells.
-    sizes[k] and masses[k] are the cell count and total strike probability of
-    component k + 1.
+    masses[k] and sizes[k] are the total strike probability and the cell
+    count of component k + 1; sizes is counted on first use.
     """
 
-    __slots__ = ("labels", "sizes", "masses", "n_components")
+    __slots__ = ("labels", "masses", "n_components", "_sizes")
 
-    def __init__(self, labels: np.ndarray, sizes: np.ndarray, masses: np.ndarray) -> None:
+    def __init__(self, labels: np.ndarray, masses: np.ndarray) -> None:
         self.labels = labels
-        self.sizes = sizes
         self.masses = masses
-        self.n_components = len(sizes)
+        self.n_components = len(masses)
+        self._sizes = None
+
+    @property
+    def sizes(self) -> np.ndarray:
+        if self._sizes is None:
+            self._sizes = np.bincount(self.labels.ravel(),
+                                      minlength=self.n_components + 1)[1:]
+        return self._sizes
+
+
+def label_cells(cells: np.ndarray, p: np.ndarray, connectivity: int) -> ComponentLabeling:
+    """Label a raw 0/1 cell array under the strike probabilities p of the
+    same shape; label_components checks the shapes first."""
+    labels, n = ndimage.label(cells, structure=neighbor_structure(connectivity))
+    masses = np.bincount(labels.ravel(), weights=p.ravel(), minlength=n + 1)[1:]
+    return ComponentLabeling(labels, masses)
 
 
 def label_components(config: GridConfig, field, connectivity: int = 4) -> ComponentLabeling:
@@ -185,11 +200,7 @@ def label_components(config: GridConfig, field, connectivity: int = 4) -> Compon
     if (field.width, field.height) != (config.width, config.height):
         raise ValueError(
             f"field is {field.width}x{field.height}, grid is {config.width}x{config.height}")
-    labels, n = ndimage.label(config.cells, structure=neighbor_structure(connectivity))
-    flat = labels.ravel()
-    sizes = np.bincount(flat, minlength=n + 1)[1:]
-    masses = np.bincount(flat, weights=field.p.ravel(), minlength=n + 1)[1:]
-    return ComponentLabeling(labels, sizes, masses)
+    return label_cells(config.cells, field.p, connectivity)
 
 
 def survival_prob(labeling: ComponentLabeling, g: int) -> float:
@@ -199,6 +210,17 @@ def survival_prob(labeling: ComponentLabeling, g: int) -> float:
     if lab == 0:
         raise ValueError(f"cell {g} is not planted")
     return float(1.0 - labeling.masses[lab - 1])
+
+
+def cells_utility(labeling: ComponentLabeling, rows, cols, cost: float) -> float:
+    """Exact utility of the owner of cells (rows, cols) under a labeling:
+    sum over the planted ones of (survival probability - cost)."""
+    labs = labeling.labels[rows, cols]
+    planted = labs > 0
+    n_planted = int(planted.sum())
+    if n_planted == 0:
+        return 0.0
+    return float(np.sum(1.0 - labeling.masses[labs[planted] - 1]) - cost * n_planted)
 
 
 def player_utility(config: GridConfig, field, part: PlayerPartition, i: int,
@@ -211,13 +233,7 @@ def player_utility(config: GridConfig, field, part: PlayerPartition, i: int,
     part.check_dims(config.width, config.height)
     if labeling is None:
         labeling = label_components(config, field, connectivity)
-    rows, cols = part.player_cells(i)
-    labs = labeling.labels[rows, cols]
-    planted = labs > 0
-    n_planted = int(planted.sum())
-    if n_planted == 0:
-        return 0.0
-    return float(np.sum(1.0 - labeling.masses[labs[planted] - 1]) - cost * n_planted)
+    return cells_utility(labeling, *part.player_cells(i), cost)
 
 
 def welfare(config: GridConfig, field, cost: float,

@@ -10,8 +10,6 @@ near the center cell.
 
 from __future__ import annotations
 
-import io
-
 import numpy as np
 
 
@@ -79,15 +77,3 @@ def recenter_random(field: LightningField, rng: np.random.Generator) -> Lightnin
     cy, cx = divmod(g, field.width)
     return build_gaussian_field(field.width, field.height, field.v, center=(cx, cy))
 
-
-def field_to_csv(field: LightningField, fp=None) -> str:
-    """Serialize as CSV rows (x, y, p)."""
-    buf = io.StringIO()
-    buf.write("x,y,p\n")
-    for y in range(field.height):
-        for x in range(field.width):
-            buf.write(f"{x},{y},{float(field.p[y, x])!r}\n")
-    text = buf.getvalue()
-    if fp is not None:
-        fp.write(text)
-    return text

@@ -106,25 +106,6 @@ def fire_break_correlation(config: GridConfig, field: LightningField) -> float |
     return numerator / empty_fraction
 
 
-def fire_break_correlation_by_player(config: GridConfig, field: LightningField,
-                                     part: PlayerPartition) -> list:
-    """Per-subgrid variant: for each player, the probability of an empty cell
-    given lightning strikes that subgrid, over the subgrid's empty fraction.
-    None where a subgrid is fully planted or never struck."""
-    out = []
-    for i in range(part.m):
-        rows, cols = part.player_cells(i)
-        p_i = field.p[rows, cols]
-        s_i = config.cells[rows, cols]
-        empty_fraction = 1.0 - s_i.mean()
-        p_total = p_i.sum()
-        if empty_fraction == 0.0 or p_total == 0.0:
-            out.append(None)
-        else:
-            out.append(float(p_i[s_i == 0].sum() / p_total) / empty_fraction)
-    return out
-
-
 def empty_centroid(config: GridConfig) -> tuple[float, float] | None:
     """Arithmetic mean (x, y) of the empty cells' coordinates, or None when
     every cell is planted."""

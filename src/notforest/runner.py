@@ -77,6 +77,17 @@ class ExperimentConfig:
         for v in self.v_values:
             if v <= 0:
                 raise ValueError(f"concentration v must be positive, got {v}")
+        # A cell's directory name and seed entropy are built from these keys
+        # of its values; two values that agree on either would silently
+        # overwrite one another's runs.
+        for name, values, keys in (("m", self.m_values, (str, int)),
+                                   ("seeds", self.seeds, (str, int)),
+                                   ("c", self.c_values, ("{:g}".format, _seed_entropy)),
+                                   ("v", self.v_values, ("{:g}".format, _seed_entropy))):
+            for key in keys:
+                if len({key(x) for x in values}) < len(values):
+                    raise ValueError(f"{name} values {values} would share a run "
+                                     "directory or a derived seed")
         if self.fragility_trials < 0:
             raise ValueError("fragility_trials must be >= 0")
         for p in self.fines:
@@ -158,8 +169,12 @@ def validate_and_load(path: str | None, **overrides) -> ExperimentConfig:
     return cfg
 
 
+def _seed_entropy(x: float) -> int:
+    return round(x * 10 ** 6)
+
+
 def _derived_seed(master: int, m: int, c: float, v: float, stream: int) -> int:
-    entropy = (int(master), int(m), round(c * 10 ** 6), round(v * 10 ** 6), stream)
+    entropy = (int(master), int(m), _seed_entropy(c), _seed_entropy(v), stream)
     return int(np.random.SeedSequence(entropy).generate_state(1)[0])
 
 
@@ -171,8 +186,7 @@ def run_cell(cfg: ExperimentConfig, m: int, c: float, v: float, seed: int) -> di
     """Run one sweep cell end to end and return its summary row + artifacts."""
     edge = cfg.edge
     field = build_gaussian_field(edge, edge, v)
-    part = (PlayerPartition.single(edge, edge) if m == 1
-            else PlayerPartition.square_tiling(edge, m))
+    part = PlayerPartition.square_tiling(edge, m)
     t_br, t_opt = cfg.iteration_overrides.get(m, (None, None))
     run_seed = _derived_seed(seed, m, c, v, 0)
     params = DynamicsParams(t_br=t_br, t_opt=t_opt, seed=run_seed,
@@ -210,7 +224,7 @@ def run_cell(cfg: ExperimentConfig, m: int, c: float, v: float, seed: int) -> di
 
     fine_seeds = {}
     for p in cfg.fines:
-        fine_seed = _derived_seed(seed, m, c, v, 2 + round(p * 10 ** 6))
+        fine_seed = _derived_seed(seed, m, c, v, 2 + _seed_entropy(p))
         fine_params = DynamicsParams(t_br=t_br, t_opt=t_opt, seed=fine_seed,
                                      connectivity=cfg.neighborhood)
         w_p, _ = fines_experiment(field, part, c, p, fine_params)

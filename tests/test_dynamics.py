@@ -3,6 +3,7 @@ best-response loop, and the equilibrium certifier."""
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from notforest import (
     DynamicsParams,
@@ -221,6 +222,43 @@ class TestBestResponseDynamics:
         part = PlayerPartition.square_tiling(4, 4)
         with pytest.raises(ValueError):
             best_response_dynamics(field, part, 0.0, DynamicsParams(t_br=1, t_opt=1))
+
+
+class TestLabelingCounts:
+    """Each grid state is labeled once: count scipy.ndimage.label calls."""
+
+    @staticmethod
+    def count_labelings(monkeypatch) -> list:
+        calls = []
+        label = ndimage.label
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return label(*args, **kwargs)
+
+        monkeypatch.setattr(ndimage, "label", counted)
+        return calls
+
+    def run_without_visits(self):
+        # p_player = 0 skips every visit, so the grid never leaves its
+        # initial state; trace rows, trajectory and utilities all read it.
+        field = build_gaussian_field(8, 8, 10.0)
+        part = PlayerPartition.square_tiling(8, 16)
+        result = best_response_dynamics(field, part, 0.0,
+                                        DynamicsParams(t_br=3, p_player=0.0))
+        return field, part, result
+
+    def test_unchanged_grid_is_labeled_once(self, monkeypatch):
+        calls = self.count_labelings(monkeypatch)
+        _, _, result = self.run_without_visits()
+        assert len(calls) == 1
+        assert len(result.trace) == 3 * 16
+
+    def test_single_flip_scan_labels_base_once(self, monkeypatch):
+        field, part, result = self.run_without_visits()
+        calls = self.count_labelings(monkeypatch)
+        is_nash(result.config, field, part, 0.0)
+        assert len(calls) == result.config.n_cells + 1
 
 
 class TestIsNash:

@@ -119,6 +119,7 @@ class TestLabelComponents:
         field = build_uniform_field(3, 3)
         lab = label_components(GridConfig.empty(3, 3), field)
         assert lab.n_components == 0
+        assert lab.sizes.tolist() == []
 
     def test_ring_is_one_component(self):
         # 3x3 planted everywhere except the center: the ring is 4-connected.
@@ -150,6 +151,7 @@ class TestLabelComponents:
                 lab = label_components(cfg, field, connectivity=conn)
                 oracle = flood_fill_labels(cfg.cells, conn)
                 assert label_partition_equal(lab.labels, oracle)
+                assert sorted(lab.sizes) == sorted(np.bincount(oracle.ravel())[1:])
 
 
 class TestSurvivalProb:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from notforest import build_gaussian_field, build_uniform_field, recenter_random
-from notforest.lightning import LightningField, field_to_csv
+from notforest.lightning import LightningField
 
 
 class TestGaussianField:
@@ -110,12 +110,3 @@ class TestRecenterRandom:
         expected = draws / 64
         tol = 3 * math.sqrt(draws * (1 / 64) * (63 / 64))
         assert (np.abs(counts - expected) <= tol).all()
-
-
-def test_field_to_csv():
-    field = build_uniform_field(2, 1)
-    text = field_to_csv(field)
-    lines = text.strip().splitlines()
-    assert lines[0] == "x,y,p"
-    assert lines[1] == f"0,0,{0.5!r}"
-    assert len(lines) == 3

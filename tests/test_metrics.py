@@ -20,7 +20,6 @@ from notforest import (
     fire_break_correlation,
     fragility_eval,
 )
-from notforest.metrics import fire_break_correlation_by_player
 
 
 def random_config(rng, w, h, density=0.5):
@@ -139,16 +138,6 @@ class TestFireBreakCorrelation:
             cells = np.ones((4, 4), dtype=np.uint8)
             cells.ravel()[list(combo)] = 0
             assert fire_break_correlation(GridConfig(cells), field) <= best_c + 1e-12
-
-    def test_by_player_variant(self):
-        field = build_gaussian_field(4, 4, 10.0)
-        part = PlayerPartition.square_tiling(4, 4)
-        cells = np.ones((4, 4), dtype=np.uint8)
-        cells[0, 0] = 0  # player 0 has an empty on its hottest cell
-        out = fire_break_correlation_by_player(GridConfig(cells), field, part)
-        assert len(out) == 4
-        assert out[0] > 1.0
-        assert all(v is None for v in out[1:])
 
 
 class TestEmptyCentroid:

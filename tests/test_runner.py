@@ -1,5 +1,6 @@
 """Sweep orchestration: config parsing, artifact layout, reproducibility."""
 
+import hashlib
 import json
 import os
 
@@ -92,6 +93,29 @@ class TestValidateAndLoad:
         with pytest.raises(ValueError):
             ExperimentConfig(neighborhood=5).validate()
 
+    @pytest.mark.parametrize("key, values", [
+        ("m_values", [4, 4]),
+        ("seeds", [0, 0]),
+        ("c_values", [0.25, 0.25]),
+        # Same "{:g}" directory name and the same round(c * 1e6) seed entropy.
+        ("c_values", [0.25, 0.2500001]),
+        # Same directory name "100", different seed entropy.
+        ("v_values", [100.0001, 100.0002]),
+        # Different directory names "1e-07" and "2e-07", same seed entropy 0.
+        ("c_values", [1e-7, 2e-7]),
+        ("v_values", [10.0, 10.0]),
+    ])
+    def test_rejects_colliding_sweep_values(self, key, values):
+        cfg = ExperimentConfig(edge=8, m_values=[4], m_defaulted=False)
+        setattr(cfg, key, values)
+        with pytest.raises(ValueError, match="share a run directory"):
+            cfg.validate()
+
+    def test_accepts_distinct_sweep_values(self):
+        ExperimentConfig(edge=8, m_values=[1, 4], c_values=[0.25, 0.2500011],
+                         v_values=[10.0, 100.0], seeds=[0, 1],
+                         m_defaulted=False).validate()
+
     def test_cells_lexical_order(self):
         cfg = ExperimentConfig(edge=8, m_values=[4, 1], c_values=[0.5, 0.0],
                                v_values=[10.0], seeds=[1, 0], m_defaulted=False)
@@ -163,3 +187,37 @@ class TestRunSweep:
             with open(os.path.join(cfg_big.out_dir, "runs", "4_0_10_0", name)) as fh:
                 b = fh.read()
             assert a == b
+
+
+# sha256 of the golden sweep's artifacts.  trace.csv and metrics.json are left
+# out: their columns and manifest keys are still expected to grow.
+GOLDEN_SHA256 = {
+    "summary.csv": "f2fdcb3fc4ff4f417dcdeedeb624d0a7024d732fad5f8dcc41561bfe444cddb3",
+    "runs/1_0_10_0/grid.txt": "fe8df99b8bf821329678a7cad820941f8e10c999ce501cb05d4271f2840af355",
+    "runs/1_0_10_0/ccdf.csv": "174e4493347ec46787697fbb2949b551e7eee467be639127ca9bc3ebf409ed8b",
+    "runs/1_0.25_10_0/grid.txt": "ba46f54bea26f82a0ea94fce7d91cfa2c54d167ff96f76b2f423c829523ef009",
+    "runs/1_0.25_10_0/ccdf.csv": "0bf65cd4b74927de789e96742fac3821e769a912e7e4f07983c860cd23843d6a",
+    "runs/4_0_10_0/grid.txt": "95387ea4b526b21265ca68f0991c855c3c00b85527d0932ad104bb0bd921eae0",
+    "runs/4_0_10_0/ccdf.csv": "90c716a9fdfcea3b7c3c658669a7ba5a60f79cd10d01fab994b6682c761309a6",
+    "runs/4_0.25_10_0/grid.txt": "2e1ea0e057da2957a1dccb1f8eabd71b146702d29708d42266946497f93f42d4",
+    "runs/4_0.25_10_0/ccdf.csv": "b038e7d6438c95a4857bdfd83ff171d6eabb0c3ebc7570ad6d54d5fc1f884871",
+    "runs/16_0_10_0/grid.txt": "1fe3b9c943ae30955e42cc140418fd89264944ac4439e59c931e197169560ab0",
+    "runs/16_0_10_0/ccdf.csv": "a2c0e937fae02364a19b6a805b88138c53aeecc7d14619ec0cd7b3fd284d98cb",
+    "runs/16_0.25_10_0/grid.txt": "f33cddcfa11640d48a6113765516f80726cad1c8b15ed50b77fed86466a90c1d",
+    "runs/16_0.25_10_0/ccdf.csv": "6c87e43be5eeea4cbf66ed28199dc5b782778dc765119a88c3a87db2b7b670d2",
+}
+
+
+def test_golden_sweep_artifacts(tmp_path):
+    # Refactors must leave these bytes alone; a change that alters them on
+    # purpose records the new hashes and says why.
+    cfg = ExperimentConfig(edge=8, m_values=[1, 4, 16], c_values=[0.0, 0.25],
+                           v_values=[10.0], seeds=[0], fragility_trials=5, fines=[0.05],
+                           out_dir=str(tmp_path), m_defaulted=False)
+    run_sweep(cfg)
+    changed = []
+    for name, digest in GOLDEN_SHA256.items():
+        with open(os.path.join(tmp_path, name), "rb") as fh:
+            if hashlib.sha256(fh.read()).hexdigest() != digest:
+                changed.append(name)
+    assert not changed, f"artifacts differ from the golden sweep: {changed}"
