@@ -146,113 +146,124 @@ def choose_actions(n_cells: int, alpha: float, history: list, rng: np.random.Gen
     return out
 
 
-# Labelings kept per best-response visit (see opt_sampled_fp).
+# Labelings a PlayerScorer keeps (read at each lookup).
 _MEMO_ENTRIES = 256
+# Neighbor offsets in the order plant gains sum their masses; the first four
+# are the 4-connected ones.
+_OFFSETS = ((0, 1), (0, -1), (1, 0), (-1, 0), (1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
-def _plant_gain(labeling, own_counts: np.ndarray, y: int, x: int,
-                p_cell_val: float, cost: float, connectivity: int) -> float:
-    """Utility change for the owning player from planting empty cell (y, x).
-
-    Planting merges the distinct neighboring components into one whose mass is
-    the sum of theirs plus this cell's strike probability; the new tree earns
-    (1 - merged mass - cost) and every other tree the player owns in a merged
-    component loses the mass increase.
+class PlayerScorer:
+    """Exact utilities and one-cell gains of player i's strategies (0/1
+    vectors over their cells, row-major) while the rest of base_cells stays
+    fixed.  A labeling then depends only on the strategy, and search paths
+    revisit the same few strategies, so labelings and utilities are memoized
+    per strategy; the store is emptied when it holds _MEMO_ENTRIES of them.
+    labeling, if given, is the caller's labeling of base_cells.
     """
-    labels, masses = labeling.labels, labeling.masses
-    h, w = labels.shape
-    if connectivity == 4:
-        offs = ((0, 1), (0, -1), (1, 0), (-1, 0))
-    else:
-        offs = ((0, 1), (0, -1), (1, 0), (-1, 0), (1, 1), (1, -1), (-1, 1), (-1, -1))
-    neigh = []
-    for dy, dx in offs:
-        ny, nx = y + dy, x + dx
-        if 0 <= ny < h and 0 <= nx < w:
-            lab = labels[ny, nx]
-            if lab and lab not in neigh:
-                neigh.append(lab)
-    merged = p_cell_val + sum(masses[lab - 1] for lab in neigh)
-    gain = 1.0 - merged - cost
-    for lab in neigh:
-        gain -= own_counts[lab - 1] * (merged - masses[lab - 1])
-    return gain
+
+    def __init__(self, i: int, base_cells: np.ndarray, field, part: PlayerPartition,
+                 cost: float, connectivity: int = 4, labeling=None) -> None:
+        self.rows, self.cols = part.player_cells(i)
+        self.p, self.cost, self.connectivity = field.p, cost, connectivity
+        self.work = base_cells.copy()
+        self.memo: dict[bytes, list] = {}
+        if labeling is not None:
+            self.memo[base_cells[self.rows, self.cols].tobytes()] = self._entry(labeling)
+
+    def _entry(self, labeling) -> list:
+        """[labeling, own component counts, utility or None]."""
+        return [labeling, np.bincount(labeling.labels[self.rows, self.cols],
+                                      minlength=labeling.n_components + 1)[1:], None]
+
+    def labeled(self, s: np.ndarray) -> list:
+        key = s.tobytes()
+        entry = self.memo.get(key)
+        if entry is None:
+            if len(self.memo) >= _MEMO_ENTRIES:
+                self.memo.clear()
+            self.work[self.rows, self.cols] = s
+            entry = self.memo[key] = self._entry(
+                label_cells(self.work, self.p, self.connectivity))
+        return entry
+
+    def utility(self, s: np.ndarray) -> float:
+        entry = self.labeled(s)
+        if entry[2] is None:
+            entry[2] = cells_utility(entry[0], self.rows, self.cols, self.cost)
+        return entry[2]
+
+    def plant_gains(self, s: np.ndarray, js) -> np.ndarray:
+        """For each of the player's cell indices j in js, the utility of s
+        with cell j planted minus with it empty, the rest of s unchanged.
+
+        Read off the labeling with cell j empty (that of s, labeled once per
+        batch, or of s with cell j cleared): planting merges the distinct
+        neighboring components into one whose mass is theirs plus the cell's
+        strike probability; the new tree earns (1 - merged mass - cost) and
+        every other tree the player owns in a merged component loses the mass
+        increase.
+        """
+        base = self.labeled(s)
+        gains = np.empty(len(js))
+        for k, j in enumerate(js):
+            labeling, own_counts, _ = base
+            if s[j]:
+                cleared = s.copy()
+                cleared[j] = 0
+                labeling, own_counts, _ = self.labeled(cleared)
+            labels, masses = labeling.labels, labeling.masses
+            y, x = int(self.rows[j]), int(self.cols[j])
+            neigh = []
+            for dy, dx in _OFFSETS[:self.connectivity]:
+                ny, nx = y + dy, x + dx
+                if 0 <= ny < labels.shape[0] and 0 <= nx < labels.shape[1]:
+                    lab = labels[ny, nx]
+                    if lab and lab not in neigh:
+                        neigh.append(lab)
+            merged = self.p[y, x] + sum(masses[lab - 1] for lab in neigh)
+            gain = 1.0 - merged - self.cost
+            for lab in neigh:
+                gain -= own_counts[lab - 1] * (merged - masses[lab - 1])
+            gains[k] = gain
+        return gains
 
 
 def opt_sampled_fp(i: int, base_cells: np.ndarray, field, part: PlayerPartition,
                    cost: float, t_opt: int, p_cell: float, alpha: float, h: int,
-                   rng: np.random.Generator, connectivity: int = 4) -> np.ndarray:
+                   rng: np.random.Generator, connectivity: int = 4,
+                   labeling=None) -> np.ndarray:
     """Approximate best response of player i to the rest of the grid.
 
     base_cells holds the current planting of every player; player i's cells
     there are the starting incumbent, scored at their exact utility, so the
-    returned strategy never leaves player i worse off.  Returns player i's
-    strategy as a 0/1 vector over their cells in row-major order.
+    returned strategy never leaves player i worse off.  labeling, if given, is
+    the labeling of base_cells, which the visit then does not label again.
+    Returns player i's strategy as a 0/1 vector over their cells in row-major
+    order.
     """
-    rows, cols = part.player_cells(i)
-    n_i = rows.size
-    p = field.p
-
-    # The rest of the grid is fixed during the visit, so a labeling depends
-    # only on player i's strategy.  Search paths revisit the same few
-    # strategies (the reference is the last candidate, which was just scored),
-    # so labelings and utilities are memoized per strategy; the store is
-    # emptied when full to bound memory on large grids.
-    work = base_cells.copy()
-    memo: dict[bytes, list] = {}
-
-    def labeled(s: np.ndarray) -> list:
-        """[labeling, own component counts, utility or None] of s."""
-        key = s.tobytes()
-        entry = memo.get(key)
-        if entry is None:
-            if len(memo) >= _MEMO_ENTRIES:
-                memo.clear()
-            work[rows, cols] = s
-            labeling = label_cells(work, p, connectivity)
-            own_counts = np.bincount(labeling.labels[rows, cols],
-                                     minlength=labeling.n_components + 1)[1:]
-            entry = memo[key] = [labeling, own_counts, None]
-        return entry
-
-    def utility(s: np.ndarray) -> float:
-        entry = labeled(s)
-        if entry[2] is None:
-            entry[2] = cells_utility(entry[0], rows, cols, cost)
-        return entry[2]
-
-    incumbent = base_cells[rows, cols]
-    incumbent_util = utility(incumbent)
+    scorer = PlayerScorer(i, base_cells, field, part, cost, connectivity, labeling)
+    n_i = scorer.rows.size
+    incumbent = base_cells[scorer.rows, scorer.cols]
+    incumbent_util = scorer.utility(incumbent)
     history: list[np.ndarray] = []
 
     for _ in range(t_opt):
         ref = choose_actions(n_i, alpha, history, rng)
         sel = rng.random(n_i)
-        selected = (sel <= p_cell) | (n_i == 1)
+        selected = np.flatnonzero((sel <= p_cell) | (n_i == 1))
         # The candidate is the reference with the selected cells replaced by
         # their best responses; mutating the reference (rather than the
         # incumbent) keeps the search moving past one-flip-stable layouts,
         # and the strict-improvement gate below still protects the incumbent.
         candidate = ref.copy()
-        if selected.any():
-            labeling, own_counts, _ = labeled(ref)
-            for j in np.flatnonzero(selected):
-                y, x = int(rows[j]), int(cols[j])
-                if ref[j]:
-                    # Gain formula needs the labeling with this cell empty.
-                    cleared = ref.copy()
-                    cleared[j] = 0
-                    gain = _plant_gain(*labeled(cleared)[:2], y, x,
-                                       p[y, x], cost, connectivity)
-                else:
-                    gain = _plant_gain(labeling, own_counts, y, x,
-                                       p[y, x], cost, connectivity)
-                candidate[j] = 1 if gain > 0 else 0
+        if selected.size:
+            candidate[selected] = scorer.plant_gains(ref, selected) > 0
         history.append(candidate)
         if len(history) > h:
             history.pop(0)
         if (candidate != incumbent).any():
-            cand_util = utility(candidate)
+            cand_util = scorer.utility(candidate)
             if cand_util > incumbent_util:
                 incumbent = candidate
                 incumbent_util = cand_util
@@ -285,8 +296,8 @@ def best_response_dynamics(field, part: PlayerPartition, cost: float,
                else default_p_cell(rc[0].size) for rc in player_cells]
 
     # One labeling per grid state: the grid is relabeled only when a visit
-    # changes it, and the trace rows, the trajectory and the final utilities
-    # all read that labeling.
+    # changes it, and the next visit, the trace rows, the trajectory and the
+    # final utilities all read that labeling.
     cells = np.zeros((part.height, part.width), dtype=np.uint8)
     config = GridConfig(cells)
     labeling = label_components(config, field, params.connectivity)
@@ -303,7 +314,7 @@ def best_response_dynamics(field, part: PlayerPartition, cost: float,
             if updated:
                 s_i = opt_sampled_fp(i, cells, field, part, cost, t_opt,
                                      p_cells[i], params.alpha, params.history,
-                                     rng, params.connectivity)
+                                     rng, params.connectivity, labeling)
                 if (s_i != cells[rows, cols]).any():
                     cells[rows, cols] = s_i
                     config = GridConfig(cells)
@@ -353,44 +364,34 @@ def is_nash(config: GridConfig, field, part: PlayerPartition, cost: float,
 
     scope "single_flip" tries every one-cell change; "exhaustive" tries every
     strategy of every player and is refused for players with more than 16
-    cells.
+    cells.  Both score through one PlayerScorer per player, seeded with the
+    labeling of the base grid.  A flip is priced by the local plant gain on
+    the labeling with the cell empty (negated for removing a tree), so
+    max_gain may differ from a difference of two utilities by rounding; the
+    witness is the first cell, row-major, that attains it.
     """
     part.check_dims(config.width, config.height)
+    if scope not in ("single_flip", "exhaustive"):
+        raise ValueError(f"unknown deviation scope {scope!r}")
     labeling = label_components(config, field, connectivity)
-    base = [player_utility(config, field, part, i, cost, labeling)
-            for i in range(part.m)]
-    max_gain = -np.inf
-    witness = None
-
-    if scope == "single_flip":
-        owner_flat = part.owner.ravel()
-        cells = config.cells
-        for g in range(config.n_cells):
-            y, x = divmod(g, config.width)
-            flipped = cells.copy()
-            flipped[y, x] ^= 1
-            i = int(owner_flat[g])
-            u = player_utility(GridConfig(flipped), field, part, i, cost,
-                               connectivity=connectivity)
-            gain = u - base[i]
-            if gain > max_gain:
-                max_gain, witness = gain, (i, ("flip", g))
-    elif scope == "exhaustive":
-        for i in range(part.m):
-            rows, cols = part.player_cells(i)
-            n_i = rows.size
-            if n_i > 16:
-                raise ValueError(
-                    f"exhaustive deviation scan refused for player with {n_i} > 16 cells")
-            trial = config.cells.copy()
-            for bits in product((0, 1), repeat=n_i):
-                trial[rows, cols] = bits
-                u = player_utility(GridConfig(trial), field, part, i, cost,
-                                   connectivity=connectivity)
-                gain = u - base[i]
+    flip_gains = np.empty((config.height, config.width))
+    max_gain, witness = -np.inf, None
+    for i in range(part.m):
+        scorer = PlayerScorer(i, config.cells, field, part, cost, connectivity, labeling)
+        s = config.cells[scorer.rows, scorer.cols]
+        if scope == "single_flip":
+            planting = scorer.plant_gains(s, range(s.size))
+            flip_gains[scorer.rows, scorer.cols] = np.where(s, -planting, planting)
+        elif s.size > 16:
+            raise ValueError(
+                f"exhaustive deviation scan refused for player with {s.size} > 16 cells")
+        else:
+            base = player_utility(config, field, part, i, cost, labeling)
+            for bits in product((0, 1), repeat=s.size):
+                gain = scorer.utility(np.array(bits, dtype=np.uint8)) - base
                 if gain > max_gain:
                     max_gain, witness = gain, (i, bits)
-    else:
-        raise ValueError(f"unknown deviation scope {scope!r}")
-
+    if scope == "single_flip":
+        g = int(np.argmax(flip_gains))
+        max_gain, witness = float(flip_gains.flat[g]), (int(part.owner.flat[g]), ("flip", g))
     return NashCheck(is_nash=max_gain <= tol, max_gain=float(max_gain), witness=witness)

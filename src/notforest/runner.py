@@ -71,28 +71,27 @@ class ExperimentConfig:
                     f"m={m} is not a power of 4 tiling a {self.edge}x{self.edge} grid")
         if not self.m_values:
             raise ValueError("no feasible player counts")
-        for c in self.c_values:
-            if c < 0:
-                raise ValueError(f"cost must be nonnegative, got {c}")
+        for name, values in (("cost", self.c_values), ("fine", self.fines)):
+            for x in values:
+                if x < 0:
+                    raise ValueError(f"{name} must be nonnegative, got {x}")
         for v in self.v_values:
             if v <= 0:
                 raise ValueError(f"concentration v must be positive, got {v}")
-        # A cell's directory name and seed entropy are built from these keys
-        # of its values; two values that agree on either would silently
-        # overwrite one another's runs.
+        # A cell's directory name (a fine's summary column) and seed entropy
+        # are built from these keys of its values; two values that agree on
+        # either would silently overwrite one another's runs.
         for name, values, keys in (("m", self.m_values, (str, int)),
                                    ("seeds", self.seeds, (str, int)),
                                    ("c", self.c_values, ("{:g}".format, _seed_entropy)),
-                                   ("v", self.v_values, ("{:g}".format, _seed_entropy))):
+                                   ("v", self.v_values, ("{:g}".format, _seed_entropy)),
+                                   ("fines", self.fines, ("{:g}".format, _seed_entropy))):
             for key in keys:
                 if len({key(x) for x in values}) < len(values):
                     raise ValueError(f"{name} values {values} would share a run "
-                                     "directory or a derived seed")
+                                     "directory, a summary column or a derived seed")
         if self.fragility_trials < 0:
             raise ValueError("fragility_trials must be >= 0")
-        for p in self.fines:
-            if p < 0:
-                raise ValueError(f"fine must be nonnegative, got {p}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.neighborhood not in (4, 8):

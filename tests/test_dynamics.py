@@ -20,7 +20,9 @@ from notforest import (
     player_utility,
 )
 from notforest import dynamics, oned
-from notforest.grid import welfare
+from notforest.grid import label_cells, welfare
+
+from conftest import brute_force_player_utility
 
 
 class TestChooseActions:
@@ -255,10 +257,92 @@ class TestLabelingCounts:
         assert len(result.trace) == 3 * 16
 
     def test_single_flip_scan_labels_base_once(self, monkeypatch):
+        # The base grid is labeled once; removing a tree needs the labeling
+        # with that cell empty, planting one reads the base labeling.
         field, part, result = self.run_without_visits()
+        planted = best_response_dynamics(field, part, 0.0,
+                                         DynamicsParams(seed=0, t_br=3)).config
+        assert 0 < planted.planted_count < planted.n_cells
         calls = self.count_labelings(monkeypatch)
-        is_nash(result.config, field, part, 0.0)
-        assert len(calls) == result.config.n_cells + 1
+        for config in (result.config, planted):
+            calls.clear()
+            is_nash(config, field, part, 0.0)
+            assert len(calls) == 1 + config.planted_count
+
+    def test_visit_reuses_callers_labeling(self, monkeypatch):
+        field = build_gaussian_field(8, 8, 10.0)
+        part = PlayerPartition.square_tiling(8, 4)
+        base = (np.random.default_rng(0).random((8, 8)) < 0.5).astype(np.uint8)
+        labeling = label_cells(base, field.p, 4)
+        calls = self.count_labelings(monkeypatch)
+        outs, counts = [], []
+        for seeded in (None, labeling):
+            before = len(calls)
+            outs.append(opt_sampled_fp(1, base, field, part, 0.0, t_opt=20, p_cell=0.25,
+                                       alpha=0.0, h=1, rng=np.random.default_rng(3),
+                                       labeling=seeded))
+            counts.append(len(calls) - before)
+        assert np.array_equal(outs[0], outs[1])
+        assert counts[1] == counts[0] - 1
+
+
+class TestFlipGainOracle:
+    """One-cell gains against differences of brute-force utilities, on seeded
+    random grids and strike fields; every cell is scored, boundary cells
+    included."""
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(11)
+        for width, height, make_part in (
+                (8, 8, lambda: PlayerPartition.square_tiling(8, 1)),
+                (8, 8, lambda: PlayerPartition.square_tiling(8, 4)),
+                (5, 5, lambda: PlayerPartition.per_cell(5, 5)),
+                (9, 1, lambda: PlayerPartition.per_cell(9, 1)),
+                (9, 1, lambda: PlayerPartition.single(9, 1))):
+            for connectivity in (4, 8):
+                for cost in (0.0, 0.3):
+                    p = rng.random((height, width))
+                    cells = (rng.random((height, width)) < 0.6).astype(np.uint8)
+                    yield cells, LightningField(p / p.sum()), make_part(), connectivity, cost
+
+    @staticmethod
+    def brute_gain(cells, field, part, g, cost, connectivity):
+        """Owner's utility with flat cell g planted minus with it empty."""
+        y, x = divmod(g, cells.shape[1])
+        with_tree, without = cells.copy(), cells.copy()
+        with_tree[y, x], without[y, x] = 1, 0
+        owner = int(part.owner[y, x])
+        return (brute_force_player_utility(with_tree, field.p, part.owner, owner, cost,
+                                           connectivity)
+                - brute_force_player_utility(without, field.p, part.owner, owner, cost,
+                                             connectivity))
+
+    def test_plant_gains_match_brute_force(self):
+        for cells, field, part, connectivity, cost in self.cases():
+            labeling = label_cells(cells, field.p, connectivity)
+            for i in range(part.m):
+                rows, cols = part.player_cells(i)
+                s = cells[rows, cols]
+                for seeded in (None, labeling):
+                    scorer = dynamics.PlayerScorer(i, cells, field, part, cost,
+                                                   connectivity, seeded)
+                    gains = scorer.plant_gains(s, range(s.size))
+                    for j, gain in enumerate(gains):
+                        g = int(rows[j]) * cells.shape[1] + int(cols[j])
+                        want = self.brute_gain(cells, field, part, g, cost, connectivity)
+                        assert abs(gain - want) <= 1e-12, (part.m, connectivity, cost, g)
+
+    def test_is_nash_max_gain_is_largest_flip_gain(self):
+        for cells, field, part, connectivity, cost in self.cases():
+            flip = [self.brute_gain(cells, field, part, g, cost, connectivity)
+                    * (-1 if cells.flat[g] else 1) for g in range(cells.size)]
+            check = is_nash(GridConfig(cells), field, part, cost, connectivity=connectivity)
+            assert abs(check.max_gain - max(flip)) <= 1e-12
+            i, (kind, g) = check.witness
+            assert kind == "flip" and i == part.owner.flat[g]
+            assert abs(flip[g] - check.max_gain) <= 1e-12
+            assert check.is_nash == (check.max_gain <= 1e-9)
 
 
 class TestIsNash:

@@ -104,6 +104,9 @@ class TestValidateAndLoad:
         # Different directory names "1e-07" and "2e-07", same seed entropy 0.
         ("c_values", [1e-7, 2e-7]),
         ("v_values", [10.0, 10.0]),
+        ("fines", [0.05, 0.05]),
+        # Same summary column "fine_W_0.05" and the same derived fine seed.
+        ("fines", [0.05, 0.050000001]),
     ])
     def test_rejects_colliding_sweep_values(self, key, values):
         cfg = ExperimentConfig(edge=8, m_values=[4], m_defaulted=False)
