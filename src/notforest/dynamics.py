@@ -22,6 +22,7 @@ reference strategy first, then one uniform per cell in row-major order), so a
 from __future__ import annotations
 
 from dataclasses import dataclass, field as _field
+from functools import cache
 from itertools import product
 
 import numpy as np
@@ -148,9 +149,32 @@ def choose_actions(n_cells: int, alpha: float, history: list, rng: np.random.Gen
 
 # Labelings a PlayerScorer keeps (read at each lookup).
 _MEMO_ENTRIES = 256
+# Removal gains read off the labeling held that lie within this of 0 are
+# recomputed on a relabel (read at each call), so every sign decision is that
+# of the relabeled masses.
+_CUT_GUARD = 1e-9
 # Neighbor offsets in the order plant gains sum their masses; the first four
-# are the 4-connected ones.
+# are the 4-connected ones.  Bit k of a ring mask is the cell at _OFFSETS[k].
 _OFFSETS = ((0, 1), (0, -1), (1, 0), (-1, 0), (1, 1), (1, -1), (-1, 1), (-1, -1))
+
+
+@cache
+def not_cut_table(connectivity: int) -> tuple:
+    """For each 8-bit ring mask of planted cells around a centre, whether the
+    centre's planted neighbors under the connectivity lie in at most one
+    component of the 3x3 window with the centre cleared.  Such a centre is not
+    a local cut cell (Rosenfeld 1970): removing it cannot split its
+    component.  Built on first use, with the grid's own labeling.
+    """
+    table = []
+    for ring in range(256):
+        window = np.zeros((3, 3), dtype=np.uint8)
+        for bit, (dy, dx) in enumerate(_OFFSETS):
+            window[1 + dy, 1 + dx] = ring >> bit & 1
+        labels = label_cells(window, np.zeros((3, 3)), connectivity).labels
+        neigh = {labels[1 + dy, 1 + dx] for dy, dx in _OFFSETS[:connectivity]}
+        table.append(len(neigh - {0}) <= 1)
+    return tuple(table)
 
 
 class PlayerScorer:
@@ -197,36 +221,66 @@ class PlayerScorer:
         """For each of the player's cell indices j in js, the utility of s
         with cell j planted minus with it empty, the rest of s unchanged.
 
-        Read off the labeling with cell j empty (that of s, labeled once per
-        batch, or of s with cell j cleared): planting merges the distinct
-        neighboring components into one whose mass is theirs plus the cell's
-        strike probability; the new tree earns (1 - merged mass - cost) and
-        every other tree the player owns in a merged component loses the mass
-        increase.
+        Read off the components next to cell j when it is empty (_plant_gain).
+        For an empty cell they are those of the labeling of s, labeled once
+        per batch.  A planted cell that is not a local cut cell (its ring in
+        that labeling passes not_cut_table) leaves its component C as C minus
+        j: mass(C) - p_j, with one tree fewer of the player's.  Those masses
+        differ from a relabel's by rounding, so such a gain within _CUT_GUARD
+        of 0, and every gain of a local cut cell, is read off the labeling of
+        s with cell j cleared instead; every gain's sign is then the one the
+        relabeled masses give.
         """
         base = self.labeled(s)
+        table = not_cut_table(self.connectivity)
+        neighbor_bits = (1 << self.connectivity) - 1
+        height, width = self.work.shape
         gains = np.empty(len(js))
         for k, j in enumerate(js):
             labeling, own_counts, _ = base
+            y, x = int(self.rows[j]), int(self.cols[j])
+            p_j = self.p[y, x]
             if s[j]:
+                label_at = labeling.labels.item
+                ring = 0
+                for bit, (dy, dx) in enumerate(_OFFSETS):
+                    ny, nx = y + dy, x + dx
+                    if 0 <= ny < height and 0 <= nx < width and label_at(ny, nx):
+                        ring |= 1 << bit
+                if table[ring]:
+                    lab = label_at(y, x) - 1
+                    rest = ([(labeling.masses[lab] - p_j, own_counts[lab] - 1)]
+                            if ring & neighbor_bits else [])
+                    gains[k] = _plant_gain(p_j, rest, self.cost)
+                    if abs(gains[k]) > _CUT_GUARD:
+                        continue
                 cleared = s.copy()
                 cleared[j] = 0
                 labeling, own_counts, _ = self.labeled(cleared)
-            labels, masses = labeling.labels, labeling.masses
-            y, x = int(self.rows[j]), int(self.cols[j])
+            labels = labeling.labels
             neigh = []
             for dy, dx in _OFFSETS[:self.connectivity]:
                 ny, nx = y + dy, x + dx
-                if 0 <= ny < labels.shape[0] and 0 <= nx < labels.shape[1]:
+                if 0 <= ny < height and 0 <= nx < width:
                     lab = labels[ny, nx]
                     if lab and lab not in neigh:
                         neigh.append(lab)
-            merged = self.p[y, x] + sum(masses[lab - 1] for lab in neigh)
-            gain = 1.0 - merged - self.cost
-            for lab in neigh:
-                gain -= own_counts[lab - 1] * (merged - masses[lab - 1])
-            gains[k] = gain
+            gains[k] = _plant_gain(p_j, [(labeling.masses[lab - 1], own_counts[lab - 1])
+                                         for lab in neigh], self.cost)
         return gains
+
+
+def _plant_gain(p_j: float, neigh: list, cost: float) -> float:
+    """Gain of planting a cell of strike probability p_j next to the distinct
+    components neigh, as (mass, the player's trees in it) pairs: they merge
+    with the cell into one of mass p_j plus theirs; the new tree earns
+    (1 - merged mass - cost) and each of the player's trees in a merged
+    component loses the mass increase."""
+    merged = p_j + sum(mass for mass, _ in neigh)
+    gain = 1.0 - merged - cost
+    for mass, own in neigh:
+        gain -= own * (merged - mass)
+    return gain
 
 
 def opt_sampled_fp(i: int, base_cells: np.ndarray, field, part: PlayerPartition,
@@ -349,11 +403,13 @@ def best_response_dynamics(field, part: PlayerPartition, cost: float,
 class NashCheck:
     """Outcome of a unilateral-deviation scan: an epsilon-equilibrium
     certificate when is_nash is True (no in-scope deviation gains more than
-    tol)."""
+    tol).  profitable_flips counts the cells whose flip gains more than tol;
+    the exhaustive scope leaves it None."""
 
     is_nash: bool
     max_gain: float
     witness: tuple | None = None
+    profitable_flips: int | None = None
 
 
 def is_nash(config: GridConfig, field, part: PlayerPartition, cost: float,
@@ -366,9 +422,14 @@ def is_nash(config: GridConfig, field, part: PlayerPartition, cost: float,
     strategy of every player and is refused for players with more than 16
     cells.  Both score through one PlayerScorer per player, seeded with the
     labeling of the base grid.  A flip is priced by the local plant gain on
-    the labeling with the cell empty (negated for removing a tree), so
-    max_gain may differ from a difference of two utilities by rounding; the
-    witness is the first cell, row-major, that attains it.
+    the labeling with the cell empty (negated for removing a tree): planting
+    reads the base labeling; removing a tree that is not a local cut cell
+    reads it too, its component less the tree, and only removing a local cut
+    cell, or a tree whose gain lies within _CUT_GUARD of 0, relabels the
+    grid with that cell cleared.  The guard keeps the sign of every gain that
+    of the relabeled masses.  max_gain may differ from a difference of two
+    utilities by rounding; the witness is the first cell, row-major, that
+    attains it.
     """
     part.check_dims(config.width, config.height)
     if scope not in ("single_flip", "exhaustive"):
@@ -391,7 +452,10 @@ def is_nash(config: GridConfig, field, part: PlayerPartition, cost: float,
                 gain = scorer.utility(np.array(bits, dtype=np.uint8)) - base
                 if gain > max_gain:
                     max_gain, witness = gain, (i, bits)
+    profitable = None
     if scope == "single_flip":
         g = int(np.argmax(flip_gains))
         max_gain, witness = float(flip_gains.flat[g]), (int(part.owner.flat[g]), ("flip", g))
-    return NashCheck(is_nash=max_gain <= tol, max_gain=float(max_gain), witness=witness)
+        profitable = int((flip_gains > tol).sum())
+    return NashCheck(is_nash=max_gain <= tol, max_gain=float(max_gain), witness=witness,
+                     profitable_flips=profitable)

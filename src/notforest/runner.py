@@ -21,7 +21,7 @@ from dataclasses import dataclass, field as _field
 import numpy as np
 
 from . import __version__
-from .dynamics import DynamicsParams, best_response_dynamics
+from .dynamics import DynamicsParams, best_response_dynamics, is_nash
 from .grid import PlayerPartition
 from .lightning import build_gaussian_field
 from .metrics import (
@@ -197,6 +197,7 @@ def run_cell(cfg: ExperimentConfig, m: int, c: float, v: float, seed: int) -> di
     p90 = cascade_percentile(dist, 0.9)
     corr = fire_break_correlation(config, field)
     centroid = empty_centroid(config)
+    nash = is_nash(config, field, part, c, connectivity=cfg.neighborhood)
 
     row = {
         "m": m, "c": c, "v": v, "seed": seed,
@@ -206,6 +207,8 @@ def run_cell(cfg: ExperimentConfig, m: int, c: float, v: float, seed: int) -> di
         "centroid_x": centroid[0] if centroid else None,
         "centroid_y": centroid[1] if centroid else None,
         "p90": p90,
+        "nash_gap": nash.max_gain,
+        "profitable_flips": nash.profitable_flips,
     }
     manifest = dict(result.manifest)
     manifest["master_seed"] = seed

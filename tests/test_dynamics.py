@@ -25,6 +25,35 @@ from notforest.grid import label_cells, welfare
 from conftest import brute_force_player_utility
 
 
+def ring_of(cells, y, x) -> int:
+    """Ring mask of cell (y, x): bit k set when the cell at
+    dynamics._OFFSETS[k] from it is planted; off-grid cells are empty."""
+    height, width = cells.shape
+    return sum(1 << k for k, (dy, dx) in enumerate(dynamics._OFFSETS)
+               if 0 <= y + dy < height and 0 <= x + dx < width and cells[y + dy, x + dx])
+
+
+def local_non_cut(ring: int, connectivity: int) -> bool:
+    """Oracle for the cut-test table: flood-fill the planted cells of the 3x3
+    window with its centre cleared, and report whether the centre's planted
+    neighbours all land in one component."""
+    planted = {off for k, off in enumerate(dynamics._OFFSETS) if ring >> k & 1}
+    steps = [(dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1)
+             if (dy, dx) != (0, 0) and (connectivity == 8 or 0 in (dy, dx))]
+    neighbours = [cell for cell in steps if cell in planted]
+    if not neighbours:
+        return True
+    seen, stack = {neighbours[0]}, [neighbours[0]]
+    while stack:
+        y, x = stack.pop()
+        for dy, dx in steps:
+            cell = (y + dy, x + dx)
+            if cell in planted and cell not in seen:
+                seen.add(cell)
+                stack.append(cell)
+    return all(cell in seen for cell in neighbours)
+
+
 class TestChooseActions:
     def test_empty_history_is_fair_coin(self):
         rng = np.random.default_rng(0)
@@ -202,6 +231,29 @@ class TestBestResponseDynamics:
         assert a.config == b.config
         assert a.trace == b.trace
 
+    def test_cut_test_does_not_change_runs(self, monkeypatch):
+        # With an infinite guard every removal gain is priced on a relabel,
+        # as before the cut-test table; the runs must be bit-identical to the
+        # default ones, which price most removals off the labeling held.
+        field = build_gaussian_field(16, 16, 10.0)
+        for m in (1, 16):
+            part = PlayerPartition.square_tiling(16, m)
+            for connectivity in (4, 8):
+                params = DynamicsParams(seed=2, t_br=3, connectivity=connectivity)
+                runs, labelings = [], []
+                for guard in (dynamics._CUT_GUARD, np.inf):
+                    monkeypatch.setattr(dynamics, "_CUT_GUARD", guard)
+                    calls = TestLabelingCounts.count_labelings(monkeypatch)
+                    runs.append(best_response_dynamics(field, part, 0.0, params))
+                    labelings.append(len(calls))
+                    monkeypatch.undo()
+                a, b = runs
+                assert labelings[0] < labelings[1], (m, connectivity)
+                assert a.config == b.config
+                assert a.trace == b.trace
+                assert a.welfare_trajectory == b.welfare_trajectory
+                assert np.array_equal(a.player_utilities, b.player_utilities)
+
     def test_seed_changes_outcome(self):
         field = build_gaussian_field(8, 8, 100.0)
         part = PlayerPartition.square_tiling(8, 4)
@@ -231,6 +283,10 @@ class TestLabelingCounts:
 
     @staticmethod
     def count_labelings(monkeypatch) -> list:
+        # The cut-test tables label 256 windows when first used; build them
+        # before counting.
+        for connectivity in (4, 8):
+            dynamics.not_cut_table(connectivity)
         calls = []
         label = ndimage.label
 
@@ -257,8 +313,9 @@ class TestLabelingCounts:
         assert len(result.trace) == 3 * 16
 
     def test_single_flip_scan_labels_base_once(self, monkeypatch):
-        # The base grid is labeled once; removing a tree needs the labeling
-        # with that cell empty, planting one reads the base labeling.
+        # The base grid is labeled once; planting a tree reads the base
+        # labeling, and so does removing one that is not a local cut cell.
+        # Only removing a local cut cell needs the labeling with it empty.
         field, part, result = self.run_without_visits()
         planted = best_response_dynamics(field, part, 0.0,
                                          DynamicsParams(seed=0, t_br=3)).config
@@ -267,7 +324,10 @@ class TestLabelingCounts:
         for config in (result.config, planted):
             calls.clear()
             is_nash(config, field, part, 0.0)
-            assert len(calls) == 1 + config.planted_count
+            cut = sum(not local_non_cut(ring_of(config.cells, y, x), 4)
+                      for y, x in zip(*np.nonzero(config.cells)))
+            assert len(calls) == 1 + cut
+        assert len(calls) < 1 + planted.planted_count
 
     def test_visit_reuses_callers_labeling(self, monkeypatch):
         field = build_gaussian_field(8, 8, 10.0)
@@ -345,6 +405,41 @@ class TestFlipGainOracle:
             assert check.is_nash == (check.max_gain <= 1e-9)
 
 
+class TestCutTable:
+    """The 3x3 local cut test that lets a removal gain skip the relabel."""
+
+    def test_table_matches_flood_fill(self):
+        for connectivity in (4, 8):
+            table = dynamics.not_cut_table(connectivity)
+            assert len(table) == 256
+            for ring in range(256):
+                assert table[ring] == local_non_cut(ring, connectivity), (connectivity, ring)
+
+    def test_non_cut_cells_do_not_split_components(self):
+        # Clearing a planted cell the table calls non-cut leaves all its
+        # planted neighbours in one component of the whole grid.
+        rng = np.random.default_rng(5)
+        p = np.ones((7, 9)) / 63
+        for connectivity in (4, 8):
+            table = dynamics.not_cut_table(connectivity)
+            steps = dynamics._OFFSETS[:connectivity]
+            tested = cut = 0
+            for density in (0.3, 0.5, 0.7, 0.9):
+                cells = (rng.random((7, 9)) < density).astype(np.uint8)
+                for y, x in zip(*np.nonzero(cells)):
+                    if not table[ring_of(cells, y, x)]:
+                        cut += 1
+                        continue
+                    cleared = cells.copy()
+                    cleared[y, x] = 0
+                    labels = label_cells(cleared, p, connectivity).labels
+                    neigh = {labels[y + dy, x + dx] for dy, dx in steps
+                             if 0 <= y + dy < 7 and 0 <= x + dx < 9 and cleared[y + dy, x + dx]}
+                    assert len(neigh) <= 1, (connectivity, density, y, x)
+                    tested += len(neigh)
+            assert tested > 0 and cut > 0
+
+
 class TestIsNash:
     def test_full_grid_m_n_cost_zero_is_nash(self):
         field = build_uniform_field(4, 4)
@@ -369,6 +464,13 @@ class TestIsNash:
         check = is_nash(GridConfig(cells), field, part, 0.0)
         assert not check.is_nash
         assert check.max_gain > 0
+
+    def test_profitable_flips_counts_gaining_cells(self):
+        for cells, field, part, connectivity, cost in TestFlipGainOracle.cases():
+            flip = [TestFlipGainOracle.brute_gain(cells, field, part, g, cost, connectivity)
+                    * (-1 if cells.flat[g] else 1) for g in range(cells.size)]
+            check = is_nash(GridConfig(cells), field, part, cost, connectivity=connectivity)
+            assert check.profitable_flips == sum(gain > 1e-9 for gain in flip)
 
     def test_exhaustive_agrees_on_small_grid(self):
         field = build_gaussian_field(4, 4, 10.0)

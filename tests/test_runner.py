@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from notforest import GridConfig, PlayerPartition, build_gaussian_field, is_nash
 from notforest.runner import (
     ExperimentConfig,
     run_cell,
@@ -139,6 +140,19 @@ class TestRunCell:
             blob = json.load(fh)
         assert blob["manifest"]["master_seed"] == 0
         assert blob["metrics"]["welfare"] == row["welfare"]
+
+    def test_metrics_record_nash_gap(self, tmp_path):
+        cfg = tiny_config(tmp_path / "out")
+        row = run_cell(cfg, 4, 0.0, 10.0, 0)
+        cell_dir = os.path.join(cfg.out_dir, "runs", "4_0_10_0")
+        with open(os.path.join(cell_dir, "grid.txt")) as fh:
+            config = GridConfig.from_text(fh.read())
+        with open(os.path.join(cell_dir, "metrics.json")) as fh:
+            metrics = json.load(fh)["metrics"]
+        check = is_nash(config, build_gaussian_field(8, 8, 10.0),
+                        PlayerPartition.square_tiling(8, 4), 0.0)
+        assert metrics["nash_gap"] == row["nash_gap"] == check.max_gain
+        assert metrics["profitable_flips"] == row["profitable_flips"] == check.profitable_flips
 
     def test_fine_column(self, tmp_path):
         cfg = tiny_config(tmp_path / "out", fines=[0.05])
