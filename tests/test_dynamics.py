@@ -1,6 +1,8 @@
 """Equilibrium dynamics: reference sampling, the inner optimizer, the outer
 best-response loop, and the equilibrium certifier."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import ndimage
@@ -276,6 +278,54 @@ class TestBestResponseDynamics:
         part = PlayerPartition.square_tiling(4, 4)
         with pytest.raises(ValueError):
             best_response_dynamics(field, part, 0.0, DynamicsParams(t_br=1, t_opt=1))
+
+
+# sha256 over a run's final cells bytes, repr(trace), repr(welfare_trajectory)
+# and player_utilities bytes, for seed 0 on a v = 10 Gaussian field unless the
+# kind says otherwise: name -> (edge, m, cost, field kind, params, digest).
+# The manifest is left out; its keys follow the params.
+GOLDEN_RUNS = {
+    "m1": (16, 1, 0.0, "gaussian", {},
+           "09248f4f695ad8467d1f1ad1a399fbe09ebb23c46ad2d55603be5cf233412f40"),
+    "m4": (16, 4, 0.0, "gaussian", {"t_br": 3},
+           "5730bef14b80629ce660d2bce28990ad138eb2b2ede761506f9e60bddd4489b2"),
+    "m16_c0.25": (16, 16, 0.25, "gaussian", {"t_br": 3},
+                  "039873cb95348a7bc61430093bc99ff0cd425a295d9cde0eb7f164b3504bff85"),
+    "m64": (16, 64, 0.0, "gaussian", {"t_br": 5},
+            "8ec365c83e078b7ed17e26d98fef2d114897ef70d54f305365434a64a55c16bf"),
+    "m256": (16, 256, 0.0, "gaussian", {"t_br": 10},
+             "0cf2abbc4608218a470623dce116a1d8b5c7000062851bc6ad8ea76b27a10c3c"),
+    "m16_conn8": (16, 16, 0.0, "gaussian", {"t_br": 3, "connectivity": 8},
+                  "eb0c9c437a503aad5223f2726b530eb96549fb7896f6c574c02299de1878f263"),
+    "m16_p_player0.5": (16, 16, 0.0, "gaussian", {"t_br": 3, "p_player": 0.5},
+                        "cfbf9ab3a363213a7ddb14053c0b5d100bf324333b0b0dd9900c5146767ea767"),
+    "m4_uniform": (16, 4, 0.0, "uniform", {"t_br": 3},
+                   "6b354affe9d345525a9398d9b5f954d21a466f79cb1438d4599a261763cecb4c"),
+    "line20_per_cell": (20, 20, 0.0, "line", {},
+                        "d3acc8e8725b9211b4cb18147d0ced05404fea449ee8bb9f22e8a07e0ff4bbd1"),
+}
+
+
+def test_golden_dynamics_runs():
+    # Refactors of the dynamics must leave these runs bit-identical; a change
+    # that alters them on purpose records the new digests and says why.
+    changed = []
+    for name, (edge, m, cost, kind, params, want) in GOLDEN_RUNS.items():
+        if kind == "line":
+            field, part = build_uniform_field(edge, 1), PlayerPartition.per_cell(edge, 1)
+        else:
+            field = (build_gaussian_field(edge, edge, 10.0) if kind == "gaussian"
+                     else build_uniform_field(edge, edge))
+            part = PlayerPartition.square_tiling(edge, m)
+        result = best_response_dynamics(field, part, cost, DynamicsParams(seed=0, **params))
+        digest = hashlib.sha256()
+        for blob in (result.config.cells.tobytes(), repr(result.trace).encode(),
+                     repr(result.welfare_trajectory).encode(),
+                     result.player_utilities.tobytes()):
+            digest.update(blob)
+        if digest.hexdigest() != want:
+            changed.append(name)
+    assert not changed, f"runs differ from the golden runs: {changed}"
 
 
 class TestLabelingCounts:
