@@ -4,14 +4,14 @@ Outer loop: best-response dynamics — starting from an empty grid, players are
 visited in fixed index order and, with probability p_player each visit, have
 their whole subgrid re-optimized against everyone else's current planting.
 
-Inner loop ("OPT"): sampled fictitious play — each of the player's cells acts
-as a cooperative sub-player.  Every iteration draws a reference strategy from
-a short history window (uniform random bits when the history is empty or with
-exploration probability alpha), sets a random subset of the reference's cells
-to their myopically better action against it, and keeps the resulting
-candidate only if it strictly improves the player's exact utility.  The
-incumbent starts as the player's current strategy, so a visit never lowers
-the player's utility.
+Inner loop ("OPT"): sampled fictitious play (Lambert, Epelman & Smith 2005)
+with no exploration and a one-entry history — each of the player's cells acts
+as a cooperative sub-player.  Every iteration takes a reference strategy
+(uniform random bits first, the previous candidate after that), sets a random
+subset of the reference's cells to their myopically better action against it,
+and keeps the resulting candidate only if it strictly improves the player's
+exact utility.  The incumbent starts as the player's current strategy, so a
+visit never lowers the player's utility.
 
 All randomness flows through a single numpy Generator per run; draw order is
 fixed (one uniform per player per outer round; per inner iteration the
@@ -39,8 +39,9 @@ from .grid import (
     welfare,
 )
 
-# (outer, inner) iteration counts keyed by cells-per-player; tuned so that
-# results stop changing appreciably with more iterations.
+# (outer, inner) iteration counts keyed by cells-per-player.  They are not
+# a convergence criterion: a 64x64, m = 256 run (16 cells per player) still
+# changes its grid in round 39 of 40.
 ITERATION_SCHEDULE = {
     16384: (1, 200),
     4096: (5, 120),
@@ -78,28 +79,20 @@ def default_p_cell(cells_per_player: int) -> float:
 class DynamicsParams:
     """Knobs of the equilibrium approximation.
 
-    t_br/t_opt/p_cell left as None are resolved from the player count at run
-    time (see default_iterations / default_p_cell).
+    t_br/t_opt left as None are resolved from the player count at run time
+    (see default_iterations); each player's p_cell is default_p_cell of its
+    size.
     """
 
     t_br: int | None = None
     t_opt: int | None = None
     p_player: float = 0.9
-    p_cell: float | None = None
-    alpha: float = 0.0
-    history: int = 1
     seed: int = 0
     connectivity: int = 4
 
     def validate(self) -> None:
-        for name in ("p_player", "alpha"):
-            val = getattr(self, name)
-            if not 0.0 <= val <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {val}")
-        if self.p_cell is not None and not 0.0 <= self.p_cell <= 1.0:
-            raise ValueError(f"p_cell must be in [0, 1], got {self.p_cell}")
-        if self.history < 1:
-            raise ValueError("history window must be >= 1")
+        if not 0.0 <= self.p_player <= 1.0:
+            raise ValueError(f"p_player must be in [0, 1], got {self.p_player}")
         for name in ("t_br", "t_opt"):
             val = getattr(self, name)
             if val is not None and val < 1:
@@ -122,28 +115,24 @@ class RunResult:
         return self.welfare_trajectory[-1]
 
 
-def choose_actions(n_cells: int, alpha: float, history: list, rng: np.random.Generator) -> np.ndarray:
-    """Reference strategy for one inner iteration.
+def choose_actions(n_cells: int, previous: np.ndarray | None,
+                   rng: np.random.Generator) -> np.ndarray:
+    """Reference strategy for one inner iteration: uniform random bits on the
+    first iteration (previous None), the previous candidate after that.
 
-    Per cell: with probability alpha, or whenever the history is empty, a
-    uniform random bit; otherwise the cell's value in a uniformly drawn
-    history entry.  Draw order: alpha-uniforms for all cells (row-major),
-    then the random bits (if any cell needs one), then the history indices.
+    Draw order: one uniform per cell (row-major), then one random bit per
+    cell if any cell takes one: every cell on the first iteration, later
+    only a cell whose uniform is exactly 0.0 (chance 2**-53), as sampled
+    fictitious play with no exploration draws them.
     """
     u = rng.random(n_cells)
-    random_cell = (u <= alpha) | (len(history) == 0)
-    out = np.empty(n_cells, dtype=np.uint8)
-    if random_cell.any():
-        bits = rng.integers(0, 2, size=n_cells, dtype=np.uint8)
-        out[random_cell] = bits[random_cell]
-    if history and not random_cell.all():
-        idx = rng.integers(0, len(history), size=n_cells)
-        keep = ~random_cell
-        if len(history) == 1:
-            out[keep] = history[0][keep]
-        else:
-            stacked = np.stack(history)
-            out[keep] = stacked[idx[keep], np.flatnonzero(keep)]
+    if previous is None:
+        return rng.integers(0, 2, size=n_cells, dtype=np.uint8)
+    fresh = u == 0.0
+    if not fresh.any():
+        return previous
+    out = previous.copy()
+    out[fresh] = rng.integers(0, 2, size=n_cells, dtype=np.uint8)[fresh]
     return out
 
 
@@ -284,7 +273,7 @@ def _plant_gain(p_j: float, neigh: list, cost: float) -> float:
 
 
 def opt_sampled_fp(i: int, base_cells: np.ndarray, field, part: PlayerPartition,
-                   cost: float, t_opt: int, p_cell: float, alpha: float, h: int,
+                   cost: float, t_opt: int, p_cell: float,
                    rng: np.random.Generator, connectivity: int = 4,
                    labeling=None) -> np.ndarray:
     """Approximate best response of player i to the rest of the grid.
@@ -300,10 +289,10 @@ def opt_sampled_fp(i: int, base_cells: np.ndarray, field, part: PlayerPartition,
     n_i = scorer.rows.size
     incumbent = base_cells[scorer.rows, scorer.cols]
     incumbent_util = scorer.utility(incumbent)
-    history: list[np.ndarray] = []
+    candidate = None
 
     for _ in range(t_opt):
-        ref = choose_actions(n_i, alpha, history, rng)
+        ref = choose_actions(n_i, candidate, rng)
         sel = rng.random(n_i)
         selected = np.flatnonzero((sel <= p_cell) | (n_i == 1))
         # The candidate is the reference with the selected cells replaced by
@@ -313,9 +302,6 @@ def opt_sampled_fp(i: int, base_cells: np.ndarray, field, part: PlayerPartition,
         candidate = ref.copy()
         if selected.size:
             candidate[selected] = scorer.plant_gains(ref, selected) > 0
-        history.append(candidate)
-        if len(history) > h:
-            history.pop(0)
         if (candidate != incumbent).any():
             cand_util = scorer.utility(candidate)
             if cand_util > incumbent_util:
@@ -346,8 +332,7 @@ def best_response_dynamics(field, part: PlayerPartition, cost: float,
         raise ValueError("field dimensions do not match partition")
 
     player_cells = [part.player_cells(i) for i in range(part.m)]
-    p_cells = [params.p_cell if params.p_cell is not None
-               else default_p_cell(rc[0].size) for rc in player_cells]
+    p_cells = [default_p_cell(rows.size) for rows, _ in player_cells]
 
     # One labeling per grid state: the grid is relabeled only when a visit
     # changes it, and the next visit, the trace rows, the trajectory and the
@@ -366,8 +351,7 @@ def best_response_dynamics(field, part: PlayerPartition, cost: float,
             updated = rng.random() <= params.p_player or part.m == 1
             rows, cols = player_cells[i]
             if updated:
-                s_i = opt_sampled_fp(i, cells, field, part, cost, t_opt,
-                                     p_cells[i], params.alpha, params.history,
+                s_i = opt_sampled_fp(i, cells, field, part, cost, t_opt, p_cells[i],
                                      rng, params.connectivity, labeling)
                 if (s_i != cells[rows, cols]).any():
                     cells[rows, cols] = s_i
@@ -390,9 +374,7 @@ def best_response_dynamics(field, part: PlayerPartition, cost: float,
         "t_br": t_br,
         "t_opt": t_opt,
         "p_player": params.p_player,
-        "p_cell": params.p_cell if params.p_cell is not None else "max(0.05, 1/N_i)",
-        "alpha": params.alpha,
-        "history": params.history,
+        "p_cell": "max(0.05, 1/N_i)",
         "seed": params.seed,
         "connectivity": params.connectivity,
     }

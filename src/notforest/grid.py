@@ -104,9 +104,9 @@ class PlayerPartition:
     provided for oracles and 1-D checks.
     """
 
-    __slots__ = ("owner", "m", "width", "height", "side", "_starts", "_order")
+    __slots__ = ("owner", "m", "width", "height", "_starts", "_order")
 
-    def __init__(self, owner, m: int, side: int | None = None) -> None:
+    def __init__(self, owner, m: int) -> None:
         owner = np.ascontiguousarray(owner, dtype=np.int64)
         if owner.ndim != 2:
             raise ValueError("owner must be a 2-D array")
@@ -118,7 +118,6 @@ class PlayerPartition:
         self.owner = owner
         self.m = m
         self.height, self.width = owner.shape
-        self.side = side
         # Row-major cell order within each player, grouped by player index.
         self._order = np.argsort(flat, kind="stable")
         self._starts = np.concatenate(([0], np.cumsum(counts)))
@@ -134,19 +133,18 @@ class PlayerPartition:
         side = edge // root
         yy, xx = np.mgrid[0:edge, 0:edge]
         owner = (yy // side) * root + (xx // side)
-        return cls(owner, m, side=side)
+        return cls(owner, m)
 
     @classmethod
     def single(cls, width: int, height: int) -> "PlayerPartition":
         """One player owning the whole grid (the single-optimizer case)."""
-        return cls(np.zeros((height, width), dtype=np.int64), 1,
-                   side=width if width == height else None)
+        return cls(np.zeros((height, width), dtype=np.int64), 1)
 
     @classmethod
     def per_cell(cls, width: int, height: int) -> "PlayerPartition":
         """One player per cell (m = N); also serves 1-D lines (height 1)."""
         owner = np.arange(width * height, dtype=np.int64).reshape(height, width)
-        return cls(owner, width * height, side=1)
+        return cls(owner, width * height)
 
     def n_player_cells(self, i: int) -> int:
         return int(self._starts[i + 1] - self._starts[i])

@@ -49,8 +49,7 @@ def equilibrium_metrics(edge: int, v: float, m: int, seed: int):
     the trend criteria; nash_gap is the largest single-flip gain any player
     has left (<= 0 for a single-flip Nash profile)."""
     field = build_gaussian_field(edge, edge, v)
-    part = (PlayerPartition.single(edge, edge) if m == 1
-            else PlayerPartition.square_tiling(edge, m))
+    part = PlayerPartition.square_tiling(edge, m)
     result = best_response_dynamics(field, part, 0.0, DynamicsParams(seed=seed))
     config = result.config
     c_stat = fire_break_correlation(config, field)

@@ -79,7 +79,7 @@ class TestPlayerPartition:
 
     def test_square_tiling_shape(self):
         part = PlayerPartition.square_tiling(8, 16)
-        assert part.m == 16 and part.side == 2
+        assert part.m == 16
         for i in range(16):
             assert part.n_player_cells(i) == 4
         # Player 0 owns the top-left 2x2 block.
