@@ -273,20 +273,21 @@ def _plant_gain(p_j: float, neigh: list, cost: float) -> float:
 
 
 def opt_sampled_fp(i: int, base_cells: np.ndarray, field, part: PlayerPartition,
-                   cost: float, t_opt: int, p_cell: float,
-                   rng: np.random.Generator, connectivity: int = 4,
-                   labeling=None) -> np.ndarray:
+                   cost: float, t_opt: int, rng: np.random.Generator,
+                   connectivity: int = 4, labeling=None) -> np.ndarray:
     """Approximate best response of player i to the rest of the grid.
 
     base_cells holds the current planting of every player; player i's cells
     there are the starting incumbent, scored at their exact utility, so the
-    returned strategy never leaves player i worse off.  labeling, if given, is
-    the labeling of base_cells, which the visit then does not label again.
-    Returns player i's strategy as a 0/1 vector over their cells in row-major
-    order.
+    returned strategy never leaves player i worse off.  Each iteration selects
+    each cell with probability default_p_cell of the player's size.  labeling,
+    if given, is the labeling of base_cells, which the visit then does not
+    label again.  Returns player i's strategy as a 0/1 vector over their cells
+    in row-major order.
     """
     scorer = PlayerScorer(i, base_cells, field, part, cost, connectivity, labeling)
     n_i = scorer.rows.size
+    p_cell = default_p_cell(n_i)
     incumbent = base_cells[scorer.rows, scorer.cols]
     incumbent_util = scorer.utility(incumbent)
     candidate = None
@@ -294,7 +295,7 @@ def opt_sampled_fp(i: int, base_cells: np.ndarray, field, part: PlayerPartition,
     for _ in range(t_opt):
         ref = choose_actions(n_i, candidate, rng)
         sel = rng.random(n_i)
-        selected = np.flatnonzero((sel <= p_cell) | (n_i == 1))
+        selected = np.flatnonzero(sel <= p_cell)
         # The candidate is the reference with the selected cells replaced by
         # their best responses; mutating the reference (rather than the
         # incumbent) keeps the search moving past one-flip-stable layouts,
@@ -311,13 +312,11 @@ def opt_sampled_fp(i: int, base_cells: np.ndarray, field, part: PlayerPartition,
 
 
 def best_response_dynamics(field, part: PlayerPartition, cost: float,
-                           params: DynamicsParams | None = None,
-                           rng: np.random.Generator | None = None) -> RunResult:
+                           params: DynamicsParams) -> RunResult:
     """Run best-response dynamics from the all-empty grid and return the
     final profile, utilities, welfare trajectory, and a reproducibility
-    manifest."""
-    if params is None:
-        params = DynamicsParams()
+    manifest.  Every draw comes from one PCG64 generator seeded with
+    params.seed."""
     params.validate()
     if cost < 0:
         raise ValueError("cost must be nonnegative")
@@ -325,14 +324,12 @@ def best_response_dynamics(field, part: PlayerPartition, cost: float,
     sched = default_iterations(part.m, n_i_max)
     t_br = params.t_br if params.t_br is not None else sched[0]
     t_opt = params.t_opt if params.t_opt is not None else sched[1]
-    if rng is None:
-        rng = np.random.Generator(np.random.PCG64(params.seed))
+    rng = np.random.Generator(np.random.PCG64(params.seed))
 
     if (field.width, field.height) != (part.width, part.height):
         raise ValueError("field dimensions do not match partition")
 
     player_cells = [part.player_cells(i) for i in range(part.m)]
-    p_cells = [default_p_cell(rows.size) for rows, _ in player_cells]
 
     # One labeling per grid state: the grid is relabeled only when a visit
     # changes it, and the next visit, the trace rows, the trajectory and the
@@ -351,8 +348,8 @@ def best_response_dynamics(field, part: PlayerPartition, cost: float,
             updated = rng.random() <= params.p_player or part.m == 1
             rows, cols = player_cells[i]
             if updated:
-                s_i = opt_sampled_fp(i, cells, field, part, cost, t_opt, p_cells[i],
-                                     rng, params.connectivity, labeling)
+                s_i = opt_sampled_fp(i, cells, field, part, cost, t_opt, rng,
+                                     params.connectivity, labeling)
                 if (s_i != cells[rows, cols]).any():
                     cells[rows, cols] = s_i
                     config = GridConfig(cells)
@@ -381,12 +378,16 @@ def best_response_dynamics(field, part: PlayerPartition, cost: float,
     return RunResult(config, utilities, trajectory, trace, manifest)
 
 
+# A deviation counts as profitable only when it gains more than this.
+NASH_TOL = 1e-9
+
+
 @dataclass
 class NashCheck:
     """Outcome of a unilateral-deviation scan: an epsilon-equilibrium
     certificate when is_nash is True (no in-scope deviation gains more than
-    tol).  profitable_flips counts the cells whose flip gains more than tol;
-    the exhaustive scope leaves it None."""
+    NASH_TOL).  profitable_flips counts the cells whose flip gains more than
+    NASH_TOL; the exhaustive scope leaves it None."""
 
     is_nash: bool
     max_gain: float
@@ -395,10 +396,9 @@ class NashCheck:
 
 
 def is_nash(config: GridConfig, field, part: PlayerPartition, cost: float,
-            scope: str = "single_flip", connectivity: int = 4,
-            tol: float = 1e-9) -> NashCheck:
-    """Check whether any in-scope unilateral deviation strictly improves some
-    player's utility.
+            scope: str = "single_flip", connectivity: int = 4) -> NashCheck:
+    """Check whether any in-scope unilateral deviation improves some
+    player's utility by more than NASH_TOL.
 
     scope "single_flip" tries every one-cell change; "exhaustive" tries every
     strategy of every player and is refused for players with more than 16
@@ -438,6 +438,6 @@ def is_nash(config: GridConfig, field, part: PlayerPartition, cost: float,
     if scope == "single_flip":
         g = int(np.argmax(flip_gains))
         max_gain, witness = float(flip_gains.flat[g]), (int(part.owner.flat[g]), ("flip", g))
-        profitable = int((flip_gains > tol).sum())
-    return NashCheck(is_nash=max_gain <= tol, max_gain=float(max_gain), witness=witness,
+        profitable = int((flip_gains > NASH_TOL).sum())
+    return NashCheck(is_nash=max_gain <= NASH_TOL, max_gain=float(max_gain), witness=witness,
                      profitable_flips=profitable)

@@ -118,7 +118,8 @@ class PlayerPartition:
         self.owner = owner
         self.m = m
         self.height, self.width = owner.shape
-        # Row-major cell order within each player, grouped by player index.
+        # Cells grouped by player index; the stable sort keeps each player's
+        # cells in row-major order.
         self._order = np.argsort(flat, kind="stable")
         self._starts = np.concatenate(([0], np.cumsum(counts)))
 
@@ -152,7 +153,7 @@ class PlayerPartition:
     def player_cells(self, i: int):
         """Row/column index arrays of player i's cells, row-major order."""
         flat = self._order[self._starts[i]:self._starts[i + 1]]
-        return np.unravel_index(np.sort(flat), self.owner.shape)
+        return np.unravel_index(flat, self.owner.shape)
 
     def check_dims(self, width: int, height: int) -> None:
         if (self.width, self.height) != (width, height):

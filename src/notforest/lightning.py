@@ -26,6 +26,8 @@ class LightningField:
         p = np.ascontiguousarray(p, dtype=np.float64)
         if p.ndim != 2:
             raise ValueError("p must be a 2-D array")
+        if not np.isfinite(p).all():
+            raise ValueError("strike probabilities must be finite")
         if (p < 0).any():
             raise ValueError("strike probabilities must be nonnegative")
         total = p.sum()
@@ -46,6 +48,8 @@ def build_gaussian_field(width: int, height: int, v: float,
                          center: tuple[int, int] = (0, 0)) -> LightningField:
     """Truncated Gaussian strike field with per-axis variance N / v, centered
     at cell (cx, cy); default center is the top-left cell."""
+    if not np.isfinite(v):
+        raise ValueError(f"concentration v must be finite, got {v}")
     if v <= 0:
         raise ValueError(f"concentration v must be positive, got {v}")
     cx, cy = center

@@ -31,20 +31,13 @@ class CascadeDistribution:
     ccdf: np.ndarray
     zero_mass: float
 
-    @property
-    def includes_zero(self) -> bool:
-        return self.zero_mass > 0.0
-
-    def to_csv(self, fp=None) -> str:
+    def to_csv(self) -> str:
         """CSV rows (x, ccdf) over the positive support, for log-log plots."""
         buf = io.StringIO()
         buf.write("x,ccdf\n")
         for x, c in zip(self.support, self.ccdf):
             buf.write(f"{int(x)},{float(c)!r}\n")
-        text = buf.getvalue()
-        if fp is not None:
-            fp.write(text)
-        return text
+        return buf.getvalue()
 
 
 def cascade_distribution(config: GridConfig, field: LightningField,
@@ -67,20 +60,13 @@ def cascade_distribution(config: GridConfig, field: LightningField,
     return CascadeDistribution(support, pmf, ccdf, zero_mass)
 
 
-def cascade_percentile(dist: CascadeDistribution, q: float,
-                       include_zero: bool = True) -> int:
-    """Smallest cascade size x with Pr{X <= x} >= q.
-
-    Zero-size cascades (strikes on empty cells) count by default; with
-    include_zero=False the distribution is conditioned on hitting a tree.
-    """
+def cascade_percentile(dist: CascadeDistribution, q: float) -> int:
+    """Smallest cascade size x with Pr{X <= x} >= q, where a strike on an
+    empty cell is a size-0 cascade."""
     if not 0.0 < q < 1.0:
         raise ValueError(f"quantile must be in (0, 1), got {q}")
-    xs = list(dist.support)
-    ps = list(dist.pmf)
-    if include_zero:
-        xs = [0] + xs
-        ps = [dist.zero_mass] + ps
+    xs = [0] + list(dist.support)
+    ps = [dist.zero_mass] + list(dist.pmf)
     total = sum(ps)
     if total <= 0:
         raise ValueError("empty cascade distribution")
@@ -123,15 +109,13 @@ class FragilityResult:
 
 
 def fragility_eval(config: GridConfig, field: LightningField, cost: float,
-                   trials: int = 50, rng: np.random.Generator | None = None,
+                   trials: int, rng: np.random.Generator,
                    connectivity: int = 4) -> FragilityResult:
     """Welfare of a fixed configuration after the lightning epicenter is
     relocated uniformly at random, averaged over trials, against the welfare
-    under the original field."""
+    under the original field.  rng draws the new epicenters."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if rng is None:
-        rng = np.random.default_rng(0)
     baseline = welfare(config, field, cost, connectivity=connectivity)
     shifted = np.empty(trials)
     for t in range(trials):
@@ -141,14 +125,13 @@ def fragility_eval(config: GridConfig, field: LightningField, cost: float,
 
 
 def fines_experiment(field: LightningField, part: PlayerPartition, true_cost: float,
-                     penalty: float, params: DynamicsParams | None = None,
-                     rng: np.random.Generator | None = None) -> tuple[float, RunResult]:
+                     penalty: float, params: DynamicsParams) -> tuple[float, RunResult]:
     """Run the dynamics with every player perceiving cost true_cost + penalty,
     then score the resulting configuration at the true cost.  Returns the true
     welfare and the underlying run."""
     if penalty < 0:
         raise ValueError("penalty must be nonnegative")
-    connectivity = params.connectivity if params is not None else 4
-    result = best_response_dynamics(field, part, true_cost + penalty, params, rng)
-    true_welfare = welfare(result.config, field, true_cost, connectivity=connectivity)
+    result = best_response_dynamics(field, part, true_cost + penalty, params)
+    true_welfare = welfare(result.config, field, true_cost,
+                           connectivity=params.connectivity)
     return true_welfare, result

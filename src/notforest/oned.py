@@ -158,7 +158,7 @@ def tiled_line_config(n: int, k: int, l: int) -> GridConfig | None:
     return GridConfig(cells.reshape(1, n))
 
 
-def emit_table(ns, cs, fp=None) -> str:
+def emit_table(ns, cs) -> str:
     """CSV table of the closed forms and the brute-force oracle per (N, c)."""
     buf = io.StringIO()
     buf.write("N,c,k_star,k_brute,rho_star,W_star,k_lo,k_hi,price_of_stability\n")
@@ -170,7 +170,4 @@ def emit_table(ns, cs, fp=None) -> str:
             _, pos = efficiency_ratios(n, c)
             buf.write(f"{n},{c!r},{k_star!r},{brute.k},{optimal_density(n, c)!r},"
                       f"{optimal_welfare(n, c)!r},{k_lo!r},{k_hi!r},{pos!r}\n")
-    text = buf.getvalue()
-    if fp is not None:
-        fp.write(text)
-    return text
+    return buf.getvalue()

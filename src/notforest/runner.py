@@ -71,6 +71,14 @@ class ExperimentConfig:
                     f"m={m} is not a power of 4 tiling a {self.edge}x{self.edge} grid")
         if not self.m_values:
             raise ValueError("no feasible player counts")
+        for name, values in (("c", self.c_values), ("v", self.v_values),
+                             ("fines", self.fines)):
+            for x in values:
+                if not math.isfinite(x):
+                    raise ValueError(f"{name} values must be finite, got {x}")
+        for s in self.seeds:
+            if s < 0:
+                raise ValueError(f"seeds must be nonnegative, got {s}")
         for name, values in (("cost", self.c_values), ("fine", self.fines)):
             for x in values:
                 if x < 0:
@@ -111,13 +119,35 @@ class ExperimentConfig:
                 for s in sorted(self.seeds)]
 
 
-_INT_KEYS = {"edge", "fragility_trials", "workers", "neighborhood"}
-_FLOAT_LIST_KEYS = {"c": "c_values", "v": "v_values", "fines": "fines"}
-_INT_LIST_KEYS = {"m": "m_values", "seeds": "seeds"}
+def _list_of(conv):
+    """Parser of a comma-separated list of conv values."""
+    return lambda raw: [conv(tok) for tok in raw.split(",") if tok.strip()]
 
 
-def _parse_list(raw: str, conv):
-    return [conv(tok) for tok in raw.split(",") if tok.strip()]
+def _parse_iters(raw: str) -> dict:
+    """m:t_br:t_opt triples, comma separated, as {m: (t_br, t_opt)}."""
+    table = {}
+    for tok in raw.split(","):
+        if tok.strip():
+            m_s, br_s, opt_s = tok.split(":")
+            table[int(m_s)] = (int(br_s), int(opt_s))
+    return table
+
+
+# Config-file key -> (ExperimentConfig attribute, parser of the raw value).
+_KEYS = {
+    "edge": ("edge", int),
+    "fragility_trials": ("fragility_trials", int),
+    "workers": ("workers", int),
+    "neighborhood": ("neighborhood", int),
+    "m": ("m_values", _list_of(int)),
+    "seeds": ("seeds", _list_of(int)),
+    "c": ("c_values", _list_of(float)),
+    "v": ("v_values", _list_of(float)),
+    "fines": ("fines", _list_of(float)),
+    "out": ("out_dir", str),
+    "iters": ("iteration_overrides", _parse_iters),
+}
 
 
 def validate_and_load(path: str | None, **overrides) -> ExperimentConfig:
@@ -135,27 +165,12 @@ def validate_and_load(path: str | None, **overrides) -> ExperimentConfig:
                     raise ValueError(f"{path}:{lineno}: expected 'key = value'")
                 key, raw = (part.strip() for part in line.split("=", 1))
                 try:
-                    if key in _INT_KEYS:
-                        setattr(cfg, key, int(raw))
-                    elif key in _INT_LIST_KEYS:
-                        setattr(cfg, _INT_LIST_KEYS[key], _parse_list(raw, int))
-                        if key == "m":
-                            cfg.m_defaulted = False
-                    elif key in _FLOAT_LIST_KEYS:
-                        setattr(cfg, _FLOAT_LIST_KEYS[key], _parse_list(raw, float))
-                    elif key == "out":
-                        cfg.out_dir = raw
-                    elif key == "iters":
-                        # m:t_br:t_opt triples, comma separated
-                        table = {}
-                        for tok in raw.split(","):
-                            if not tok.strip():
-                                continue
-                            m_s, br_s, opt_s = tok.split(":")
-                            table[int(m_s)] = (int(br_s), int(opt_s))
-                        cfg.iteration_overrides = table
-                    else:
+                    if key not in _KEYS:
                         raise ValueError(f"unknown key {key!r}")
+                    attr, parse = _KEYS[key]
+                    setattr(cfg, attr, parse(raw))
+                    if key == "m":
+                        cfg.m_defaulted = False
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: {exc}") from None
     for key, value in overrides.items():
@@ -242,7 +257,7 @@ def run_cell(cfg: ExperimentConfig, m: int, c: float, v: float, seed: int) -> di
     with open(os.path.join(cell_dir, "grid.pgm"), "wb") as fh:
         fh.write(config.to_pgm_bytes())
     with open(os.path.join(cell_dir, "ccdf.csv"), "w") as fh:
-        dist.to_csv(fh)
+        fh.write(dist.to_csv())
     with open(os.path.join(cell_dir, "trace.csv"), "w") as fh:
         fh.write("outer_iter,player,updated,u_i,welfare\n")
         for rnd, player, updated, u_i, w in result.trace:
@@ -251,10 +266,6 @@ def run_cell(cfg: ExperimentConfig, m: int, c: float, v: float, seed: int) -> di
         json.dump({"manifest": manifest, "metrics": row}, fh, sort_keys=True, indent=2)
         fh.write("\n")
     return row
-
-
-def _run_cell_star(args):
-    return run_cell(*args)
 
 
 def run_sweep(cfg: ExperimentConfig) -> list:
@@ -267,8 +278,7 @@ def run_sweep(cfg: ExperimentConfig) -> list:
 
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            rows = list(pool.map(_run_cell_star,
-                                 [(cfg, m, c, v, s) for m, c, v, s in cells]))
+            rows = list(pool.map(run_cell, [cfg] * len(cells), *zip(*cells)))
     else:
         rows = [run_cell(cfg, m, c, v, s) for m, c, v, s in cells]
 

@@ -66,6 +66,15 @@ def test_bad_config_is_machine_readable_error(tmp_path, capsys):
     assert err["error"] == "ValueError"
 
 
+def test_non_finite_config_value_is_machine_readable_error(tmp_path, capsys):
+    cfg_path = tmp_path / "inf.cfg"
+    cfg_path.write_text("edge = 8\nm = 4\nv = inf\n")
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert "v values must be finite" in err["message"]
+
+
 def test_missing_run_dir_errors(capsys):
     assert main(["verify", "--run-dir", "/nonexistent/run"]) == 2
     err = json.loads(capsys.readouterr().err)

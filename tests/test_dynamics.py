@@ -104,10 +104,10 @@ class TestOptSampledFP:
         part = PlayerPartition.per_cell(3, 3)
         base = np.zeros((3, 3), dtype=np.uint8)
         rng = np.random.default_rng(0)
-        out = opt_sampled_fp(4, base, field, part, 0.0, t_opt=5, p_cell=1.0, rng=rng)
+        out = opt_sampled_fp(4, base, field, part, 0.0, t_opt=5, rng=rng)
         assert out.tolist() == [1]
         rng = np.random.default_rng(0)
-        out = opt_sampled_fp(4, base, field, part, 0.95, t_opt=5, p_cell=1.0, rng=rng)
+        out = opt_sampled_fp(4, base, field, part, 0.95, t_opt=5, rng=rng)
         assert out.tolist() == [0]
 
     def test_one_d_line_near_closed_form(self):
@@ -123,7 +123,7 @@ class TestOptSampledFP:
         part = PlayerPartition.single(4, 4)
         base = np.zeros((4, 4), dtype=np.uint8)
         rng = np.random.default_rng(0)
-        s = opt_sampled_fp(0, base, field, part, 0.0, t_opt=300, p_cell=1 / 16, rng=rng)
+        s = opt_sampled_fp(0, base, field, part, 0.0, t_opt=300, rng=rng)
         rows, cols = part.player_cells(0)
         cells = np.zeros((4, 4), dtype=np.uint8)
         cells[rows, cols] = s
@@ -154,7 +154,7 @@ class TestOptSampledFP:
         assert u_now == 14.0
         rows, cols = part.player_cells(0)
         for seed in range(5):
-            s = opt_sampled_fp(0, base, field, part, 0.0, t_opt=10, p_cell=1 / 16,
+            s = opt_sampled_fp(0, base, field, part, 0.0, t_opt=10,
                                rng=np.random.default_rng(seed))
             trial = base.copy()
             trial[rows, cols] = s
@@ -172,7 +172,7 @@ class TestOptSampledFP:
                      PlayerPartition.square_tiling(8, 1)):
             n = part.n_player_cells(0)
             rng = np.random.default_rng(4)
-            opt_sampled_fp(0, base, field, part, 0.0, t_opt=t_opt, p_cell=0.25, rng=rng)
+            opt_sampled_fp(0, base, field, part, 0.0, t_opt=t_opt, rng=rng)
             fresh = np.random.default_rng(4)
             fresh.random(n)
             fresh.integers(0, 2, size=n, dtype=np.uint8)
@@ -386,7 +386,7 @@ class TestLabelingCounts:
         outs, counts = [], []
         for seeded in (None, labeling):
             before = len(calls)
-            outs.append(opt_sampled_fp(1, base, field, part, 0.0, t_opt=20, p_cell=0.25,
+            outs.append(opt_sampled_fp(1, base, field, part, 0.0, t_opt=20,
                                        rng=np.random.default_rng(3), labeling=seeded))
             counts.append(len(calls) - before)
         assert np.array_equal(outs[0], outs[1])

@@ -91,6 +91,13 @@ class TestPlayerPartition:
         rows, cols = part.player_cells(3)
         flat = (rows * 4 + cols).tolist()
         assert flat == sorted(flat)
+        # An owner map that is not a tiling: each player's cells scattered.
+        owner = np.random.default_rng(3).permutation(np.arange(7 * 5) % 6).reshape(5, 7)
+        part = PlayerPartition(owner, 6)
+        for i in range(6):
+            rows, cols = part.player_cells(i)
+            flat = (rows * 7 + cols).tolist()
+            assert flat == np.flatnonzero(owner == i).tolist()
 
     def test_per_cell(self):
         part = PlayerPartition.per_cell(5, 1)

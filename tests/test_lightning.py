@@ -55,6 +55,9 @@ class TestGaussianField:
             build_gaussian_field(8, 8, -1.0)
         with pytest.raises(ValueError):
             build_gaussian_field(8, 8, 1.0, center=(8, 0))
+        for v in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="v must be finite"):
+                build_gaussian_field(8, 8, v)
 
 
 class TestUniformField:
@@ -73,6 +76,11 @@ class TestLightningFieldValidation:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             LightningField(np.array([[0.3, 0.3]]))
+
+    def test_rejects_non_finite(self):
+        for p in ([[np.nan, 1.0]], [[np.nan, np.nan]], [[np.inf, 0.0]]):
+            with pytest.raises(ValueError, match="must be finite"):
+                LightningField(np.array(p))
 
     def test_read_only(self):
         field = build_uniform_field(2, 2)

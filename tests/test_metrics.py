@@ -32,7 +32,6 @@ class TestCascadeDistribution:
         assert dist.support.tolist() == [16]
         assert dist.ccdf[0] == pytest.approx(1.0)
         assert dist.zero_mass == 0.0
-        assert not dist.includes_zero
 
     def test_empty_grid(self):
         dist = cascade_distribution(GridConfig.empty(4, 4), build_uniform_field(4, 4))
@@ -90,12 +89,6 @@ class TestCascadePercentile:
         qs = [0.1, 0.3, 0.5, 0.7, 0.9, 0.99]
         vals = [cascade_percentile(dist, q) for q in qs]
         assert vals == sorted(vals)
-
-    def test_conditional_variant_excludes_zeros(self):
-        cells = np.zeros((5, 5), dtype=np.uint8)
-        cells[2, 2] = 1
-        dist = cascade_distribution(GridConfig(cells), build_uniform_field(5, 5))
-        assert cascade_percentile(dist, 0.9, include_zero=False) == 1
 
     def test_invalid_q(self):
         dist = cascade_distribution(GridConfig.full(2, 2), build_uniform_field(2, 2))
@@ -219,4 +212,4 @@ class TestFinesExperiment:
         field = build_uniform_field(4, 4)
         part = PlayerPartition.per_cell(4, 4)
         with pytest.raises(ValueError):
-            fines_experiment(field, part, 0.0, -0.1)
+            fines_experiment(field, part, 0.0, -0.1, DynamicsParams())

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 
 import pytest
@@ -93,6 +94,13 @@ class TestValidateAndLoad:
             ExperimentConfig(workers=0).validate()
         with pytest.raises(ValueError):
             ExperimentConfig(neighborhood=5).validate()
+        for key, name, value in (("c_values", "c", math.inf), ("c_values", "c", math.nan),
+                                 ("v_values", "v", math.inf), ("v_values", "v", math.nan),
+                                 ("fines", "fines", math.inf), ("fines", "fines", math.nan)):
+            with pytest.raises(ValueError, match=f"{name} values must be finite"):
+                ExperimentConfig(**{key: [value]}).validate()
+        with pytest.raises(ValueError, match="seeds must be nonnegative"):
+            ExperimentConfig(seeds=[-1]).validate()
 
     @pytest.mark.parametrize("key, values", [
         ("m_values", [4, 4]),
