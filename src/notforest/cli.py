@@ -27,16 +27,26 @@ from .metrics import fines_experiment, fragility_eval
 from .runner import run_sweep, validate_and_load
 
 
+def _require(record: dict, key: str, where: str):
+    if key not in record:
+        raise ValueError(f"{where} has no {key!r}")
+    return record[key]
+
+
 def _load_run_dir(run_dir: str):
     with open(os.path.join(run_dir, "grid.txt")) as fh:
         config = GridConfig.from_text(fh.read())
-    with open(os.path.join(run_dir, "metrics.json")) as fh:
-        manifest = json.load(fh)["manifest"]
+    path = os.path.join(run_dir, "metrics.json")
+    with open(path) as fh:
+        manifest = _require(json.load(fh), "manifest", path)
+    where = f"{path} manifest"
+    for key in ("m", "field_v", "cost"):
+        _require(manifest, key, where)
     v = manifest["field_v"]
     if v is None:
         field = build_uniform_field(config.width, config.height)
     else:
-        cx, cy = manifest["field_center"]
+        cx, cy = _require(manifest, "field_center", where)
         field = build_gaussian_field(config.width, config.height, v, (cx, cy))
     part = PlayerPartition.square_tiling(config.width, manifest["m"])
     return config, field, part, manifest

@@ -16,7 +16,11 @@ visit never lowers the player's utility.
 All randomness flows through a single numpy Generator per run; draw order is
 fixed (one uniform per player per outer round; per inner iteration the
 reference strategy first, then one uniform per cell in row-major order), so a
-(parameters, seed) pair reproduces a run bit-exactly.
+(parameters, seed) pair reproduces a run bit-exactly.  A visit to a player of
+at most _BLOCK_MAX_CELLS cells makes those draws in three calls, which give
+the same stream; when a later reference uniform is exactly 0.0 (chance 2**-53
+per draw) the generator is put back and the visit replayed iteration by
+iteration, so the draw order is unchanged.
 """
 
 from __future__ import annotations
@@ -147,6 +151,19 @@ _CUT_GUARD = 1e-9
 _OFFSETS = ((0, 1), (0, -1), (1, 0), (-1, 0), (1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
+def _ring(labels: np.ndarray, y: int, x: int) -> int:
+    """Ring mask of cell (y, x) under a labeling: bit k is set when the cell
+    at _OFFSETS[k] from it is planted; off-grid cells are empty."""
+    height, width = labels.shape
+    label_at = labels.item
+    ring = 0
+    for bit, (dy, dx) in enumerate(_OFFSETS):
+        ny, nx = y + dy, x + dx
+        if 0 <= ny < height and 0 <= nx < width and label_at(ny, nx):
+            ring |= 1 << bit
+    return ring
+
+
 @cache
 def not_cut_table(connectivity: int) -> tuple:
     """For each 8-bit ring mask of planted cells around a centre, whether the
@@ -178,27 +195,33 @@ class PlayerScorer:
     def __init__(self, i: int, base_cells: np.ndarray, field, part: PlayerPartition,
                  cost: float, connectivity: int = 4, labeling=None) -> None:
         self.rows, self.cols = part.player_cells(i)
+        self.ys, self.xs = self.rows.tolist(), self.cols.tolist()
         self.p, self.cost, self.connectivity = field.p, cost, connectivity
         self.work = base_cells.copy()
         self.memo: dict[bytes, list] = {}
         if labeling is not None:
-            self.memo[base_cells[self.rows, self.cols].tobytes()] = self._entry(labeling)
-
-    def _entry(self, labeling) -> list:
-        """[labeling, own component counts, utility or None]."""
-        return [labeling, np.bincount(labeling.labels[self.rows, self.cols],
-                                      minlength=labeling.n_components + 1)[1:], None]
+            self.memo[base_cells[self.rows, self.cols].tobytes()] = [labeling, None, None]
 
     def labeled(self, s: np.ndarray) -> list:
+        """[labeling, own component counts or None, utility or None] of s."""
         key = s.tobytes()
         entry = self.memo.get(key)
         if entry is None:
             if len(self.memo) >= _MEMO_ENTRIES:
                 self.memo.clear()
             self.work[self.rows, self.cols] = s
-            entry = self.memo[key] = self._entry(
-                label_cells(self.work, self.p, self.connectivity))
+            entry = self.memo[key] = [label_cells(self.work, self.p, self.connectivity),
+                                      None, None]
         return entry
+
+    def own_counts(self, entry: list) -> np.ndarray:
+        """The player's trees per component of entry's labeling, counted on
+        first read: only plant gains read them."""
+        if entry[1] is None:
+            labeling = entry[0]
+            entry[1] = np.bincount(labeling.labels[self.rows, self.cols],
+                                   minlength=labeling.n_components + 1)[1:]
+        return entry[1]
 
     def utility(self, s: np.ndarray) -> float:
         entry = self.labeled(s)
@@ -223,39 +246,42 @@ class PlayerScorer:
         base = self.labeled(s)
         table = not_cut_table(self.connectivity)
         neighbor_bits = (1 << self.connectivity) - 1
+        offsets = _OFFSETS[:self.connectivity]
         height, width = self.work.shape
+        p_at = self.p.item
         gains = np.empty(len(js))
         for k, j in enumerate(js):
-            labeling, own_counts, _ = base
-            y, x = int(self.rows[j]), int(self.cols[j])
-            p_j = self.p[y, x]
+            entry = base
+            labeling = entry[0]
+            y, x = self.ys[j], self.xs[j]
+            p_j = p_at(y, x)
             if s[j]:
-                label_at = labeling.labels.item
-                ring = 0
-                for bit, (dy, dx) in enumerate(_OFFSETS):
-                    ny, nx = y + dy, x + dx
-                    if 0 <= ny < height and 0 <= nx < width and label_at(ny, nx):
-                        ring |= 1 << bit
+                ring = _ring(labeling.labels, y, x)
                 if table[ring]:
-                    lab = label_at(y, x) - 1
-                    rest = ([(labeling.masses[lab] - p_j, own_counts[lab] - 1)]
+                    lab = labeling.labels.item(y, x) - 1
+                    rest = ([(labeling.masses.item(lab) - p_j,
+                              self.own_counts(entry).item(lab) - 1)]
                             if ring & neighbor_bits else [])
-                    gains[k] = _plant_gain(p_j, rest, self.cost)
-                    if abs(gains[k]) > _CUT_GUARD:
+                    gain = _plant_gain(p_j, rest, self.cost)
+                    if abs(gain) > _CUT_GUARD:
+                        gains[k] = gain
                         continue
                 cleared = s.copy()
                 cleared[j] = 0
-                labeling, own_counts, _ = self.labeled(cleared)
-            labels = labeling.labels
+                entry = self.labeled(cleared)
+                labeling = entry[0]
+            label_at = labeling.labels.item
             neigh = []
-            for dy, dx in _OFFSETS[:self.connectivity]:
+            for dy, dx in offsets:
                 ny, nx = y + dy, x + dx
                 if 0 <= ny < height and 0 <= nx < width:
-                    lab = labels[ny, nx]
+                    lab = label_at(ny, nx)
                     if lab and lab not in neigh:
                         neigh.append(lab)
-            gains[k] = _plant_gain(p_j, [(labeling.masses[lab - 1], own_counts[lab - 1])
-                                         for lab in neigh], self.cost)
+            if neigh:
+                mass_at, count_at = labeling.masses.item, self.own_counts(entry).item
+                neigh = [(mass_at(lab - 1), count_at(lab - 1)) for lab in neigh]
+            gains[k] = _plant_gain(p_j, neigh, self.cost)
         return gains
 
 
@@ -265,11 +291,213 @@ def _plant_gain(p_j: float, neigh: list, cost: float) -> float:
     with the cell into one of mass p_j plus theirs; the new tree earns
     (1 - merged mass - cost) and each of the player's trees in a merged
     component loses the mass increase."""
-    merged = p_j + sum(mass for mass, _ in neigh)
+    # Summed left to right from 0, then added to p_j: builtin sum may
+    # compensate Python floats, which would change the last digits.
+    total = 0.0
+    for mass, _ in neigh:
+        total += mass
+    merged = p_j + total
     gain = 1.0 - merged - cost
     for mass, own in neigh:
         gain -= own * (merged - mass)
     return gain
+
+
+# Players of at most this many cells are visited by _block_visit; larger ones
+# keep PlayerScorer.  At 64 cells the flood fills win on a 64x64 grid, tie on a
+# 16x16 one and lose on a 32x32, v = 100 one, where most cells are planted.
+_BLOCK_MAX_CELLS = 16
+
+
+class BlockScorer:
+    """Utilities and one-cell plant gains of a small player's strategies,
+    as bit masks over their cells (bit j is the j-th cell, row-major), while
+    the rest of base_cells stays fixed: the exterior, frozen for a visit.
+
+    The exterior is labeled at most once.  It is the caller's labeling when
+    the player's cells are all empty; for a one-cell player whose tree is not
+    a local cut cell (not_cut_table), it is the caller's labeling with that
+    tree's component less p_j; otherwise the grid is labeled with the
+    player's cells cleared.  A strategy's components then come from a flood
+    fill over its planted cells, two of which are linked when they are
+    neighbors or touch the same exterior component; a component's mass is
+    its cells' strike probabilities plus the masses of the distinct exterior
+    components it touches.  Those sums run in another order than a
+    labeling's, so a gain within _CUT_GUARD of 0, and a utility comparison
+    whose difference lies within it, is decided by a PlayerScorer built on
+    first need; every decision is then the one a PlayerScorer makes.
+    """
+
+    def __init__(self, i: int, base_cells: np.ndarray, field, part: PlayerPartition,
+                 cost: float, connectivity: int, labeling) -> None:
+        self.args = (i, base_cells, field, part, cost, connectivity, labeling)
+        self.cost = cost
+        self._exact = None
+        rows, cols = part.player_cells(i)
+        ys, xs = rows.tolist(), cols.tolist()
+        height, width = base_cells.shape
+        y0, x0 = max(min(ys) - 1, 0), max(min(xs) - 1, 0)
+        box = (slice(y0, max(ys) + 2), slice(x0, max(xs) + 2))
+        self.p = field.p[rows, cols].tolist()
+        self.start = sum(bit << j for j, bit in enumerate(base_cells[rows, cols].tolist()))
+        # Masses to take off exterior components, by label.
+        exterior, taken = labeling, {}
+        if self.start and len(ys) == 1 and labeling is not None and not_cut_table(
+                connectivity)[_ring(labeling.labels, ys[0], xs[0])]:
+            taken[labeling.labels.item(ys[0], xs[0])] = self.p[0]
+        elif self.start or labeling is None:
+            cleared = base_cells.copy()
+            cleared[rows, cols] = 0
+            exterior = label_cells(cleared, field.p, connectivity)
+        window = exterior.labels[box].tolist()
+        index = {cell: j for j, cell in enumerate(zip(ys, xs))}
+        # Exterior labels met, in order: bit e of a mask is the e-th, and
+        # ext_index maps each to e and the mask of the cells touching it.
+        ext_index: dict[int, list] = {}
+        # Per cell: the mask of its own neighbors and of the exterior
+        # components it touches.
+        self.neighbors, self.touches = [], []
+        for k, (y, x) in enumerate(zip(ys, xs)):
+            own = ext = 0
+            for dy, dx in _OFFSETS[:connectivity]:
+                ny, nx = y + dy, x + dx
+                if 0 <= ny < height and 0 <= nx < width:
+                    j = index.get((ny, nx))
+                    if j is not None:
+                        own |= 1 << j
+                    elif lab := window[ny - y0][nx - x0]:
+                        entry = ext_index.setdefault(lab, [len(ext_index), 0])
+                        ext |= 1 << entry[0]
+                        entry[1] |= 1 << k
+            self.neighbors.append(own)
+            self.touches.append(ext)
+        self.ext_mass = [exterior.masses.item(lab - 1) - taken.get(lab, 0.0)
+                         for lab in ext_index]
+        # Cells are linked when they are neighbors or touch one exterior
+        # component.
+        self.links = list(self.neighbors)
+        for _, cells in ext_index.values():
+            rest = cells
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                self.links[bit.bit_length() - 1] |= cells & ~bit
+        self.memo: dict[int, list] = {}
+        self.utilities: dict[int, float] = {}
+
+    def components(self, s: int) -> list:
+        """(cells mask, exterior mask, mass, tree count) of each component
+        holding a tree of s."""
+        comps = self.memo.get(s)
+        if comps is None:
+            comps = self.memo[s] = []
+            links, touches, p, ext_mass = self.links, self.touches, self.p, self.ext_mass
+            rest = s
+            while rest:
+                cells = frontier = rest & -rest
+                ext, mass = 0, 0.0
+                while frontier:
+                    bit = frontier & -frontier
+                    frontier ^= bit
+                    j = bit.bit_length() - 1
+                    mass += p[j]
+                    ext |= touches[j]
+                    new = links[j] & rest & ~cells
+                    cells |= new
+                    frontier |= new
+                rest ^= cells
+                touched = ext
+                while touched:
+                    bit = touched & -touched
+                    touched ^= bit
+                    mass += ext_mass[bit.bit_length() - 1]
+                comps.append((cells, ext, mass, cells.bit_count()))
+        return comps
+
+    def utility(self, s: int) -> float:
+        """Each planted cell of s earns 1 - its component's mass - cost."""
+        util = self.utilities.get(s)
+        if util is None:
+            util = self.utilities[s] = sum(own * (1.0 - mass - self.cost)
+                                           for _, _, mass, own in self.components(s))
+        return util
+
+    def exact(self) -> PlayerScorer:
+        """The PlayerScorer that decides near-ties, built on first need."""
+        if self._exact is None:
+            self._exact = PlayerScorer(*self.args)
+        return self._exact
+
+    def strategy(self, s: int) -> np.ndarray:
+        """Bit mask s as a 0/1 vector over the player's cells."""
+        return np.array([s >> j & 1 for j in range(len(self.p))], dtype=np.uint8)
+
+    def plant_gain(self, s: int, j: int) -> float:
+        """Utility of s with cell j planted minus with it empty (_plant_gain
+        on the components next to j in s with j empty)."""
+        cleared = s & ~(1 << j)
+        own, ext = self.neighbors[j], self.touches[j]
+        neigh = []
+        for cells, touched, mass, count in self.components(cleared):
+            if cells & own or touched & ext:
+                neigh.append((mass, count))
+                ext &= ~touched
+        while ext:
+            bit = ext & -ext
+            ext ^= bit
+            neigh.append((self.ext_mass[bit.bit_length() - 1], 0))
+        gain = _plant_gain(self.p[j], neigh, self.cost)
+        if abs(gain) <= _CUT_GUARD:
+            gain = float(self.exact().plant_gains(self.strategy(s), [j])[0])
+        return gain
+
+    def improves(self, s: int, t: int) -> bool:
+        """Whether strategy s's utility exceeds strategy t's."""
+        diff = self.utility(s) - self.utility(t)
+        if abs(diff) > _CUT_GUARD:
+            return diff > 0
+        exact = self.exact()
+        return exact.utility(self.strategy(s)) > exact.utility(self.strategy(t))
+
+
+def _block_visit(i: int, base_cells: np.ndarray, field, part: PlayerPartition,
+                 cost: float, t_opt: int, rng: np.random.Generator,
+                 connectivity: int, labeling) -> np.ndarray | None:
+    """opt_sampled_fp for a player of at most _BLOCK_MAX_CELLS cells, scored
+    by a BlockScorer, with the visit's draws made in three calls: the same
+    stream as the per-iteration draws, unless a later iteration's reference
+    uniform is exactly 0.0.  choose_actions then draws fresh bits after it,
+    so the generator is put back and None returned, for the per-iteration
+    path."""
+    n_i = part.n_player_cells(i)
+    state = rng.bit_generator.state if t_opt > 1 else None
+    rng.random(n_i)
+    bits = rng.integers(0, 2, size=n_i, dtype=np.uint8).tolist()
+    # The first iteration's n selection uniforms, then per later iteration n
+    # reference uniforms and n selection uniforms.
+    draws = rng.random((2 * t_opt - 1) * n_i)
+    if not draws[n_i:].reshape(t_opt - 1, 2, n_i)[:, 0].all():
+        rng.bit_generator.state = state
+        return None
+    picks = [[] for _ in range(t_opt)]
+    for q in np.flatnonzero(draws <= default_p_cell(n_i)).tolist():
+        k, j = divmod(q + n_i, 2 * n_i)
+        if j >= n_i:
+            picks[k].append(j - n_i)
+
+    scorer = BlockScorer(i, base_cells, field, part, cost, connectivity, labeling)
+    incumbent = scorer.start
+    candidate = sum(bit << j for j, bit in enumerate(bits))
+    for js in picks:
+        ref = candidate
+        for j in js:
+            if scorer.plant_gain(ref, j) > 0:
+                candidate |= 1 << j
+            else:
+                candidate &= ~(1 << j)
+        if candidate != incumbent and scorer.improves(candidate, incumbent):
+            incumbent = candidate
+    return scorer.strategy(incumbent)
 
 
 def opt_sampled_fp(i: int, base_cells: np.ndarray, field, part: PlayerPartition,
@@ -283,8 +511,13 @@ def opt_sampled_fp(i: int, base_cells: np.ndarray, field, part: PlayerPartition,
     each cell with probability default_p_cell of the player's size.  labeling,
     if given, is the labeling of base_cells, which the visit then does not
     label again.  Returns player i's strategy as a 0/1 vector over their cells
-    in row-major order.
+    in row-major order.  A player of at most _BLOCK_MAX_CELLS cells is visited
+    by _block_visit, which makes the same decisions from the same draws.
     """
+    if part.n_player_cells(i) <= _BLOCK_MAX_CELLS:
+        s = _block_visit(i, base_cells, field, part, cost, t_opt, rng, connectivity, labeling)
+        if s is not None:
+            return s
     scorer = PlayerScorer(i, base_cells, field, part, cost, connectivity, labeling)
     n_i = scorer.rows.size
     p_cell = default_p_cell(n_i)

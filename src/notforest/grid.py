@@ -126,6 +126,8 @@ class PlayerPartition:
     @classmethod
     def square_tiling(cls, edge: int, m: int) -> "PlayerPartition":
         """Partition an edge x edge grid into m identical square subgrids."""
+        if m < 1:
+            raise ValueError(f"m must be a positive power of 4, got {m}")
         root = math.isqrt(m)
         if root * root != m or root & (root - 1):
             raise ValueError(f"m must be a power of 4, got {m}")

@@ -40,6 +40,8 @@ DEFAULT_EDGE = 32  # 128 is supported but opt-in (hours, not minutes)
 
 
 def _feasible_m(edge: int, m: int) -> bool:
+    if m < 1:
+        return False
     root = math.isqrt(m)
     return root * root == m and not (root & (root - 1)) and edge % root == 0
 

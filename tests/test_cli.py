@@ -79,3 +79,37 @@ def test_missing_run_dir_errors(capsys):
     assert main(["verify", "--run-dir", "/nonexistent/run"]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] in ("FileNotFoundError", "OSError", "NotADirectoryError")
+
+
+@pytest.mark.parametrize("m", [0, -4])
+def test_m_below_one_is_machine_readable_error(tmp_path, capsys, m):
+    cfg_path = tmp_path / "m.cfg"
+    cfg_path.write_text(f"edge = 8\nm = {m}\n")
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and f"m={m}" in err["message"]
+    assert main(["fines", "--edge", "8", "--m", str(m)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and f"got {m}" in err["message"]
+
+
+@pytest.mark.parametrize("manifest, key", [
+    ({"m": 4}, "field_v"),
+    ({"field_v": 10.0, "cost": 0.0}, "m"),
+    ({"m": 4, "field_v": 10.0}, "cost"),
+    ({"m": 4, "field_v": 10.0, "cost": 0.0}, "field_center"),
+])
+def test_verify_names_missing_manifest_key(tmp_path, capsys, manifest, key):
+    (tmp_path / "grid.txt").write_text("0000\n0110\n0000\n0000\n")
+    (tmp_path / "metrics.json").write_text(json.dumps({"manifest": manifest}))
+    assert main(["verify", "--run-dir", str(tmp_path)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and repr(key) in err["message"]
+
+
+def test_verify_names_missing_manifest(tmp_path, capsys):
+    (tmp_path / "grid.txt").write_text("0000\n0110\n0000\n0000\n")
+    (tmp_path / "metrics.json").write_text("{}")
+    assert main(["verify", "--run-dir", str(tmp_path)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and "'manifest'" in err["message"]

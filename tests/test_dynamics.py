@@ -378,19 +378,26 @@ class TestLabelingCounts:
         assert len(calls) < 1 + planted.planted_count
 
     def test_visit_reuses_callers_labeling(self, monkeypatch):
+        # A 16-cell player's visit scores every strategy against the grid
+        # with its cells cleared: one labeling, none when those cells are
+        # already empty and the caller's labeling is given.
         field = build_gaussian_field(8, 8, 10.0)
         part = PlayerPartition.square_tiling(8, 4)
         base = (np.random.default_rng(0).random((8, 8)) < 0.5).astype(np.uint8)
-        labeling = label_cells(base, field.p, 4)
+        rows, cols = part.player_cells(1)
+        empty = base.copy()
+        empty[rows, cols] = 0
         calls = self.count_labelings(monkeypatch)
-        outs, counts = [], []
-        for seeded in (None, labeling):
-            before = len(calls)
-            outs.append(opt_sampled_fp(1, base, field, part, 0.0, t_opt=20,
-                                       rng=np.random.default_rng(3), labeling=seeded))
-            counts.append(len(calls) - before)
-        assert np.array_equal(outs[0], outs[1])
-        assert counts[1] == counts[0] - 1
+        for cells, want in ((base, [1, 1]), (empty, [1, 0])):
+            labeling = label_cells(cells, field.p, 4)
+            outs, counts = [], []
+            for seeded in (None, labeling):
+                before = len(calls)
+                outs.append(opt_sampled_fp(1, cells, field, part, 0.0, t_opt=20,
+                                           rng=np.random.default_rng(3), labeling=seeded))
+                counts.append(len(calls) - before)
+            assert np.array_equal(outs[0], outs[1])
+            assert counts == want
 
 
 class TestFlipGainOracle:
@@ -450,6 +457,143 @@ class TestFlipGainOracle:
             assert kind == "flip" and i == part.owner.flat[g]
             assert abs(flip[g] - check.max_gain) <= 1e-12
             assert check.is_nash == (check.max_gain <= 1e-9)
+
+
+class TestBlockScorer:
+    """The small-player visit kernel: utilities and one-cell gains off a
+    frozen exterior, its exact fallbacks and its batched draws."""
+
+    @staticmethod
+    def cases():
+        yield from TestFlipGainOracle.cases()
+        rng = np.random.default_rng(12)
+        for connectivity in (4, 8):
+            p = rng.random((5, 5))
+            field = LightningField(p / p.sum())
+            # Player 1 owns the centre 3x3 block; one exterior component
+            # rings it and touches it on all four sides.
+            owner = np.zeros((5, 5), dtype=np.int64)
+            owner[1:4, 1:4] = 1
+            ring = np.ones((5, 5), dtype=np.uint8)
+            ring[1:4, 1:4] = rng.random((3, 3)) < 0.5
+            yield ring, field, PlayerPartition(owner, 2), connectivity, 0.1
+            # Player 1 owns the middle column; the trees left and right of
+            # it join only through the block.
+            owner = np.zeros((5, 5), dtype=np.int64)
+            owner[:, 2] = 1
+            sides = np.zeros((5, 5), dtype=np.uint8)
+            sides[:, 1] = sides[:, 3] = 1
+            sides[1:4, 2] = 1, 0, 1
+            yield sides, field, PlayerPartition(owner, 2), connectivity, 0.0
+            # One-cell players on a cross: the centre tree is a cut cell,
+            # the arm ends are not.
+            cross = np.zeros((5, 5), dtype=np.uint8)
+            cross[2, :] = cross[:, 2] = 1
+            yield cross, field, PlayerPartition.per_cell(5, 5), connectivity, 0.0
+
+    @staticmethod
+    def with_strategy(cells, part, i, s):
+        rows, cols = part.player_cells(i)
+        out = cells.copy()
+        out[rows, cols] = s
+        return out
+
+    def test_utilities_and_gains_match_brute_force(self):
+        rng = np.random.default_rng(13)
+        for cells, field, part, connectivity, cost in self.cases():
+            labeling = label_cells(cells, field.p, connectivity)
+            for i in range(part.m):
+                n = part.n_player_cells(i)
+                if n > dynamics._BLOCK_MAX_CELLS:
+                    continue
+                rows, cols = part.player_cells(i)
+                current = cells[rows, cols]
+                others = [current] + [(rng.random(n) < 0.5).astype(np.uint8) for _ in range(2)]
+                for seeded in (None, labeling):
+                    scorer = dynamics.BlockScorer(i, cells, field, part, cost,
+                                                  connectivity, seeded)
+                    assert np.array_equal(scorer.strategy(scorer.start), current)
+                    for s in others:
+                        grid = self.with_strategy(cells, part, i, s)
+                        mask = sum(int(bit) << j for j, bit in enumerate(s))
+                        want = brute_force_player_utility(grid, field.p, part.owner, i, cost,
+                                                          connectivity)
+                        assert abs(scorer.utility(mask) - want) <= 1e-12, (part.m, i)
+                        for j in range(n):
+                            g = int(rows[j]) * cells.shape[1] + int(cols[j])
+                            gain = TestFlipGainOracle.brute_gain(grid, field, part, g, cost,
+                                                                 connectivity)
+                            assert abs(scorer.plant_gain(mask, j) - gain) <= 1e-12, (i, j)
+
+    def test_exact_fallback_does_not_change_runs(self, monkeypatch):
+        # With an infinite guard every gain and every utility comparison of
+        # the kernel is decided by a PlayerScorer; the runs must be
+        # bit-identical to the default ones, which label far less.
+        field = build_gaussian_field(16, 16, 10.0)
+        for m in (16, 256):
+            part = PlayerPartition.square_tiling(16, m)
+            for connectivity in (4, 8):
+                params = DynamicsParams(seed=5, t_br=3, connectivity=connectivity)
+                runs, labelings = [], []
+                for guard in (dynamics._CUT_GUARD, np.inf):
+                    monkeypatch.setattr(dynamics, "_CUT_GUARD", guard)
+                    calls = TestLabelingCounts.count_labelings(monkeypatch)
+                    runs.append(best_response_dynamics(field, part, 0.1, params))
+                    labelings.append(len(calls))
+                    monkeypatch.undo()
+                a, b = runs
+                assert labelings[0] < labelings[1], (m, connectivity)
+                assert a.config == b.config
+                assert a.trace == b.trace
+                assert a.welfare_trajectory == b.welfare_trajectory
+                assert np.array_equal(a.player_utilities, b.player_utilities)
+
+    class ZeroAt:
+        """A Generator stand-in on a PCG64 stream whose k-th double is
+        replaced by an exact 0.0; its state counts the doubles drawn."""
+
+        def __init__(self, seed: int, k: int) -> None:
+            self.gen, self.k, self.drawn = np.random.default_rng(seed), k, 0
+
+        @property
+        def bit_generator(self):
+            return self
+
+        @property
+        def state(self):
+            return self.gen.bit_generator.state, self.drawn
+
+        @state.setter
+        def state(self, value):
+            self.gen.bit_generator.state, self.drawn = value
+
+        def random(self, size):
+            out = self.gen.random(size)
+            if self.drawn <= self.k < self.drawn + out.size:
+                out[self.k - self.drawn] = 0.0
+            self.drawn += out.size
+            return out
+
+        def integers(self, *args, **kwargs):
+            return self.gen.integers(*args, **kwargs)
+
+    def test_zero_reference_uniform_replays_per_iteration(self, monkeypatch):
+        # Doubles 0..n-1 are the first reference's uniforms, n..2n-1 the
+        # first selection's, 2n..3n-1 the second reference's.  A 0.0 there
+        # draws fresh bits mid-visit, which the batched draws cannot follow.
+        field = build_gaussian_field(8, 8, 10.0)
+        part = PlayerPartition.square_tiling(8, 4)
+        base = (np.random.default_rng(0).random((8, 8)) < 0.5).astype(np.uint8)
+        n = part.n_player_cells(2)
+        for k in (2 * n + 3, 5 * n - 1, n + 1):
+            outs, states = [], []
+            for block_max in (dynamics._BLOCK_MAX_CELLS, 0):
+                monkeypatch.setattr(dynamics, "_BLOCK_MAX_CELLS", block_max)
+                rng = self.ZeroAt(6, k)
+                outs.append(opt_sampled_fp(2, base, field, part, 0.0, t_opt=8, rng=rng))
+                states.append(rng.bit_generator.state)
+            assert np.array_equal(outs[0], outs[1]), k
+            assert states[0] == states[1], k
 
 
 class TestCutTable:

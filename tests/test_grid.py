@@ -73,6 +73,11 @@ class TestPlayerPartition:
             with pytest.raises(ValueError):
                 PlayerPartition.square_tiling(8, m)
 
+    def test_square_tiling_rejects_m_below_one(self):
+        for m in (0, -4):
+            with pytest.raises(ValueError, match=f"m must be a positive power of 4, got {m}"):
+                PlayerPartition.square_tiling(8, m)
+
     def test_square_tiling_rejects_indivisible_edge(self):
         with pytest.raises(ValueError):
             PlayerPartition.square_tiling(6, 16)

@@ -101,6 +101,9 @@ class TestValidateAndLoad:
                 ExperimentConfig(**{key: [value]}).validate()
         with pytest.raises(ValueError, match="seeds must be nonnegative"):
             ExperimentConfig(seeds=[-1]).validate()
+        for m in (0, -4):
+            with pytest.raises(ValueError, match=f"m={m} is not a power of 4"):
+                ExperimentConfig(edge=16, m_values=[m], m_defaulted=False).validate()
 
     @pytest.mark.parametrize("key, values", [
         ("m_values", [4, 4]),
