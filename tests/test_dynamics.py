@@ -280,7 +280,8 @@ class TestBestResponseDynamics:
 
 # sha256 over a run's final cells bytes, repr(trace), repr(welfare_trajectory)
 # and player_utilities bytes, for seed 0 on a v = 10 Gaussian field unless the
-# kind says otherwise: name -> (edge, m, cost, field kind, params, digest).
+# kind says otherwise, with one player per cell when m = edge**2:
+# name -> (edge, m, cost, field kind, params, digest).
 # The manifest is left out; its keys follow the params.
 GOLDEN_RUNS = {
     "m1": (16, 1, 0.0, "gaussian", {},
@@ -301,6 +302,14 @@ GOLDEN_RUNS = {
                    "6b354affe9d345525a9398d9b5f954d21a466f79cb1438d4599a261763cecb4c"),
     "line20_per_cell": (20, 20, 0.0, "line", {},
                         "d3acc8e8725b9211b4cb18147d0ced05404fea449ee8bb9f22e8a07e0ff4bbd1"),
+    # One-cell players whose isolated plant gains all tie at exactly 0.
+    "m256_uniform_tie": (16, 256, 1 - 1 / 256, "uniform", {"t_br": 10},
+                         "525e4f700f41bfaf960b7ee5d4980aa4742c2560b2ec38586bec7ca0675cacf1"),
+    "12x12_per_cell_conn8_t_opt3": (
+        12, 144, 0.0, "gaussian", {"t_br": 20, "connectivity": 8, "t_opt": 3},
+        "23ec12d4b3720b22b1d5d2ce99140cb4935e93f61fd7cb414c1f1c3a36886365"),
+    "m256_p_player0.5_c0.05": (16, 256, 0.05, "gaussian", {"t_br": 20, "p_player": 0.5},
+                               "69e31235673818b19d5c2c94231f4a3cd18764475e2c70e739eb91db9aaa7d9b"),
 }
 
 
@@ -314,7 +323,8 @@ def test_golden_dynamics_runs():
         else:
             field = (build_gaussian_field(edge, edge, 10.0) if kind == "gaussian"
                      else build_uniform_field(edge, edge))
-            part = PlayerPartition.square_tiling(edge, m)
+            part = (PlayerPartition.per_cell(edge, edge) if m == edge * edge
+                    else PlayerPartition.square_tiling(edge, m))
         result = best_response_dynamics(field, part, cost, DynamicsParams(seed=0, **params))
         digest = hashlib.sha256()
         for blob in (result.config.cells.tobytes(), repr(result.trace).encode(),
