@@ -20,11 +20,15 @@ reference strategy first, then one uniform per cell in row-major order), so a
 at most _BLOCK_MAX_CELLS cells makes those draws in three calls, which give
 the same stream; when a later reference uniform is exactly 0.0 (chance 2**-53
 per draw) the generator is put back and the visit replayed iteration by
-iteration, so the draw order is unchanged.
+iteration, so the draw order is unchanged.  A one-cell player's visit is a
+function of the grid, so when the grid has not changed since the player's
+last scored visit, the visit makes its draws without scoring: it would keep
+the cell.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as _field
 from functools import cache
 from itertools import product
@@ -113,6 +117,8 @@ class RunResult:
     welfare_trajectory: list
     trace: list = _field(repr=False)
     manifest: dict = _field(default_factory=dict)
+    # Visits that changed the grid, per outer round.
+    changes_per_round: list = _field(default_factory=list)
 
     @property
     def welfare(self) -> float:
@@ -460,16 +466,13 @@ class BlockScorer:
         return exact.utility(self.strategy(s)) > exact.utility(self.strategy(t))
 
 
-def _block_visit(i: int, base_cells: np.ndarray, field, part: PlayerPartition,
-                 cost: float, t_opt: int, rng: np.random.Generator,
-                 connectivity: int, labeling) -> np.ndarray | None:
-    """opt_sampled_fp for a player of at most _BLOCK_MAX_CELLS cells, scored
-    by a BlockScorer, with the visit's draws made in three calls: the same
+def _visit_draws(n_i: int, t_opt: int, rng: np.random.Generator) -> tuple | None:
+    """A visit's draws for an n_i-cell player, made in three calls: the same
     stream as the per-iteration draws, unless a later iteration's reference
     uniform is exactly 0.0.  choose_actions then draws fresh bits after it,
     so the generator is put back and None returned, for the per-iteration
-    path."""
-    n_i = part.n_player_cells(i)
+    path.  Otherwise returns the first reference's bits, as a list, and the
+    uniforms after them."""
     state = rng.bit_generator.state if t_opt > 1 else None
     rng.random(n_i)
     bits = rng.integers(0, 2, size=n_i, dtype=np.uint8).tolist()
@@ -479,6 +482,20 @@ def _block_visit(i: int, base_cells: np.ndarray, field, part: PlayerPartition,
     if not draws[n_i:].reshape(t_opt - 1, 2, n_i)[:, 0].all():
         rng.bit_generator.state = state
         return None
+    return bits, draws
+
+
+def _block_visit(i: int, base_cells: np.ndarray, field, part: PlayerPartition,
+                 cost: float, t_opt: int, rng: np.random.Generator,
+                 connectivity: int, labeling) -> np.ndarray | None:
+    """opt_sampled_fp for a player of at most _BLOCK_MAX_CELLS cells, scored
+    by a BlockScorer, with the visit's draws made by _visit_draws; None when
+    those call for the per-iteration path."""
+    n_i = part.n_player_cells(i)
+    drawn = _visit_draws(n_i, t_opt, rng)
+    if drawn is None:
+        return None
+    bits, draws = drawn
     picks = [[] for _ in range(t_opt)]
     for q in np.flatnonzero(draws <= default_p_cell(n_i)).tolist():
         k, j = divmod(q + n_i, 2 * n_i)
@@ -551,8 +568,8 @@ def best_response_dynamics(field, part: PlayerPartition, cost: float,
     manifest.  Every draw comes from one PCG64 generator seeded with
     params.seed."""
     params.validate()
-    if cost < 0:
-        raise ValueError("cost must be nonnegative")
+    if not math.isfinite(cost) or cost < 0:
+        raise ValueError(f"cost must be finite and nonnegative, got {cost}")
     n_i_max = max(part.n_player_cells(i) for i in range(part.m))
     sched = default_iterations(part.m, n_i_max)
     t_br = params.t_br if params.t_br is not None else sched[0]
@@ -565,22 +582,46 @@ def best_response_dynamics(field, part: PlayerPartition, cost: float,
     player_cells = [part.player_cells(i) for i in range(part.m)]
 
     # One labeling per grid state: the grid is relabeled only when a visit
-    # changes it, and the next visit, the trace rows, the trajectory and the
-    # final utilities all read that labeling.
+    # changes it, and version counts those changes.  The next visit, the
+    # trace rows, the trajectory and the final utilities all read that
+    # labeling; each player's utility is scored once per version.
     cells = np.zeros((part.height, part.width), dtype=np.uint8)
     config = GridConfig(cells)
     labeling = label_components(config, field, params.connectivity)
     w = welfare(config, field, cost, labeling)
+    version = 0
+    # seen[i]: the version right after one-cell player i's last scored visit.
+    seen = [-1] * part.m
+    scored = [(-1, 0.0)] * part.m
+
+    def utility(i: int) -> float:
+        if scored[i][0] != version:
+            rows, cols = player_cells[i]
+            scored[i] = (version, cells_utility(labeling, rows, cols, cost))
+        return scored[i][1]
+
     trajectory = []
+    changes_per_round = []
     trace = []
     for rnd in range(t_br):
+        round_start = version
         for i in range(part.m):
             # The per-visit skip only desynchronizes players; with a single
             # player it would just void the whole run 1 - p_player of the
             # time, so the lone player always re-optimizes.
             updated = rng.random() <= params.p_player or part.m == 1
-            rows, cols = player_cells[i]
-            if updated:
+            # A one-cell player selects its cell on every iteration
+            # (p_cell = 1), and whether to plant it is decided against the
+            # frozen exterior whatever the reference, every near-tie on
+            # relabeled masses: the visit's outcome is a function of the
+            # grid alone.  Its last scored visit applied that function, so
+            # while the grid is unchanged since then the visit would keep
+            # the cell; it only makes its draws, unless they call for the
+            # replay.  Any change to a one-cell visit must keep its outcome a
+            # function of the grid, as a polish step that draws nothing would.
+            if updated and not (seen[i] == version
+                                and _visit_draws(1, t_opt, rng) is not None):
+                rows, cols = player_cells[i]
                 s_i = opt_sampled_fp(i, cells, field, part, cost, t_opt, rng,
                                      params.connectivity, labeling)
                 if (s_i != cells[rows, cols]).any():
@@ -588,11 +629,14 @@ def best_response_dynamics(field, part: PlayerPartition, cost: float,
                     config = GridConfig(cells)
                     labeling = label_components(config, field, params.connectivity)
                     w = welfare(config, field, cost, labeling)
-            trace.append((rnd, i, int(updated), cells_utility(labeling, rows, cols, cost), w))
+                    version += 1
+                if rows.size == 1:
+                    seen[i] = version
+            trace.append((rnd, i, int(updated), utility(i), w))
         trajectory.append(w)
+        changes_per_round.append(version - round_start)
 
-    utilities = np.array([cells_utility(labeling, rows, cols, cost)
-                          for rows, cols in player_cells])
+    utilities = np.array([utility(i) for i in range(part.m)])
     manifest = {
         "version": __version__,
         "width": part.width,
@@ -608,7 +652,7 @@ def best_response_dynamics(field, part: PlayerPartition, cost: float,
         "seed": params.seed,
         "connectivity": params.connectivity,
     }
-    return RunResult(config, utilities, trajectory, trace, manifest)
+    return RunResult(config, utilities, trajectory, trace, manifest, changes_per_round)
 
 
 # A deviation counts as profitable only when it gains more than this.

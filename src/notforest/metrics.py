@@ -9,6 +9,7 @@ masses; no strikes are ever sampled.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,8 +130,8 @@ def fines_experiment(field: LightningField, part: PlayerPartition, true_cost: fl
     """Run the dynamics with every player perceiving cost true_cost + penalty,
     then score the resulting configuration at the true cost.  Returns the true
     welfare and the underlying run."""
-    if penalty < 0:
-        raise ValueError("penalty must be nonnegative")
+    if not math.isfinite(penalty) or penalty < 0:
+        raise ValueError(f"penalty must be finite and nonnegative, got {penalty}")
     result = best_response_dynamics(field, part, true_cost + penalty, params)
     true_welfare = welfare(result.config, field, true_cost,
                            connectivity=params.connectivity)

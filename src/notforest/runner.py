@@ -226,6 +226,9 @@ def run_cell(cfg: ExperimentConfig, m: int, c: float, v: float, seed: int) -> di
         "p90": p90,
         "nash_gap": nash.max_gain,
         "profitable_flips": nash.profitable_flips,
+        "changes_per_round": result.changes_per_round,
+        "last_change_round": max((rnd for rnd, n in enumerate(result.changes_per_round) if n),
+                                 default=-1),
     }
     manifest = dict(result.manifest)
     manifest["master_seed"] = seed

@@ -58,3 +58,40 @@ def brute_force_player_utility(cells, p, owner, i, cost, connectivity=4):
                 mass = p[labels == labels[y, x]].sum()
                 total += (1.0 - mass) - cost
     return total
+
+
+def naive_best_response_dynamics(field, part, cost, params):
+    """The outer loop without its shortcuts: every updated visit goes through
+    opt_sampled_fp and every trace row through cells_utility; the oracle for
+    best_response_dynamics.  Returns (config, trace, welfare trajectory,
+    player utilities, visits that changed the grid per round)."""
+    from notforest.dynamics import default_iterations, opt_sampled_fp
+    from notforest.grid import GridConfig, cells_utility, label_components, welfare
+
+    n_i_max = max(part.n_player_cells(i) for i in range(part.m))
+    t_br, t_opt = default_iterations(part.m, n_i_max)
+    t_br = params.t_br if params.t_br is not None else t_br
+    t_opt = params.t_opt if params.t_opt is not None else t_opt
+    rng = np.random.Generator(np.random.PCG64(params.seed))
+    cells = np.zeros((part.height, part.width), dtype=np.uint8)
+    labeling = label_components(GridConfig(cells), field, params.connectivity)
+    w = welfare(GridConfig(cells), field, cost, labeling)
+    trace, trajectory, changes = [], [], []
+    for rnd in range(t_br):
+        changes.append(0)
+        for i in range(part.m):
+            updated = rng.random() <= params.p_player or part.m == 1
+            rows, cols = part.player_cells(i)
+            if updated:
+                s_i = opt_sampled_fp(i, cells, field, part, cost, t_opt, rng,
+                                     params.connectivity, labeling)
+                if (s_i != cells[rows, cols]).any():
+                    cells[rows, cols] = s_i
+                    labeling = label_components(GridConfig(cells), field, params.connectivity)
+                    w = welfare(GridConfig(cells), field, cost, labeling)
+                    changes[-1] += 1
+            trace.append((rnd, i, int(updated), cells_utility(labeling, rows, cols, cost), w))
+        trajectory.append(w)
+    utilities = np.array([cells_utility(labeling, *part.player_cells(i), cost)
+                          for i in range(part.m)])
+    return GridConfig(cells), trace, trajectory, utilities, changes

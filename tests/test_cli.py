@@ -58,6 +58,15 @@ def test_fines_subcommand(capsys):
     assert set(record["welfare_by_fine"]) == {"0", "0.05"}
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--c", "nan"), ("--c", "inf"), ("--p", "nan"), ("--p", "inf"),
+])
+def test_fines_non_finite_cost_or_fine_is_machine_readable_error(capsys, flag, value):
+    assert main(["fines", "--edge", "8", "--m", "4", flag, value]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and f"got {value}" in err["message"]
+
+
 def test_bad_config_is_machine_readable_error(tmp_path, capsys):
     cfg_path = tmp_path / "bad.cfg"
     cfg_path.write_text("m = 3\n")

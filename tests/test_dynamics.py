@@ -22,9 +22,9 @@ from notforest import (
     player_utility,
 )
 from notforest import dynamics, oned
-from notforest.grid import label_cells, welfare
+from notforest.grid import FOUR_NEIGHBOR, label_cells, welfare
 
-from conftest import brute_force_player_utility
+from conftest import brute_force_player_utility, naive_best_response_dynamics
 
 
 def ring_of(cells, y, x) -> int:
@@ -129,12 +129,20 @@ class TestOptSampledFP:
         cells[rows, cols] = s
         u = player_utility(GridConfig(cells), field, part, 0, 0.0)
         u_full = player_utility(GridConfig.full(4, 4), field, part, 0, 0.0)
-        # Exhaustive optimum over all 2^16 strategies.
-        best = -np.inf
-        trial = np.zeros((4, 4), dtype=np.uint8)
-        for code in range(1 << 16):
-            trial.ravel()[:] = [(code >> b) & 1 for b in range(16)]
-            best = max(best, player_utility(GridConfig(trial), field, part, 0, 0.0))
+        # Exhaustive optimum over all 2^16 strategies (bit b of a code is
+        # flat cell b), labeled in one call: the structure links cells only
+        # within a strategy's own 4x4 plane.
+        codes = np.arange(1 << 16)
+        trials = (codes[:, None] >> np.arange(16) & 1).astype(np.uint8).reshape(-1, 4, 4)
+        structure = np.zeros((3, 3, 3), dtype=np.uint8)
+        structure[1] = FOUR_NEIGHBOR
+        labels, _ = ndimage.label(trials, structure)
+        p = np.broadcast_to(field.p, trials.shape)
+        masses = np.bincount(labels.ravel(), weights=p.ravel())
+        utilities = ((1.0 - masses[labels]) * trials).sum(axis=(1, 2))
+        code = int(np.argmax(utilities))
+        best = player_utility(GridConfig(trials[code]), field, part, 0, 0.0)
+        assert best == pytest.approx(utilities[code], abs=1e-12)
         assert u_full <= u <= best + 1e-12
 
     def test_never_worse_than_current_strategy(self):
@@ -276,6 +284,76 @@ class TestBestResponseDynamics:
         part = PlayerPartition.square_tiling(4, 4)
         with pytest.raises(ValueError):
             best_response_dynamics(field, part, 0.0, DynamicsParams(t_br=1, t_opt=1))
+
+    @pytest.mark.parametrize("cost", [np.nan, np.inf])
+    def test_non_finite_cost_rejected(self, cost):
+        field = build_gaussian_field(4, 4, 10.0)
+        part = PlayerPartition.square_tiling(4, 4)
+        with pytest.raises(ValueError, match=f"got {cost}"):
+            best_response_dynamics(field, part, cost, DynamicsParams(t_br=1, t_opt=1))
+
+    @pytest.mark.parametrize("edge, m, cost, params", [
+        (12, 144, 0.05, {"t_br": 10, "t_opt": 3, "connectivity": 8}),
+        (16, 256, 0.0, {"t_br": 20}),
+        (16, 256, 0.1, {"t_br": 10, "p_player": 0.5}),
+        (16, 16, 0.0, {"t_br": 3}),
+    ])
+    def test_matches_naive_outer_loop(self, edge, m, cost, params):
+        # The skipped one-cell visits and the trace utilities scored once
+        # per grid state must change nothing against the plain loop.
+        field = build_gaussian_field(edge, edge, 10.0)
+        part = (PlayerPartition.per_cell(edge, edge) if m == edge * edge
+                else PlayerPartition.square_tiling(edge, m))
+        params = DynamicsParams(seed=1, **params)
+        config, trace, trajectory, utilities, changes = naive_best_response_dynamics(
+            field, part, cost, params)
+        result = best_response_dynamics(field, part, cost, params)
+        assert result.config == config
+        assert result.trace == trace
+        assert result.welfare_trajectory == trajectory
+        assert np.array_equal(result.player_utilities, utilities)
+        assert result.changes_per_round == changes
+        assert sum(changes) > 0
+
+    @staticmethod
+    def record_visits(monkeypatch) -> list:
+        """(player, whether the grid changed) per opt_sampled_fp call of the
+        outer loop."""
+        visit = dynamics.opt_sampled_fp
+        calls = []
+
+        def recorded(i, cells, field, part, *args):
+            s = visit(i, cells, field, part, *args)
+            rows, cols = part.player_cells(i)
+            calls.append((i, bool((s != cells[rows, cols]).any())))
+            return s
+
+        monkeypatch.setattr(dynamics, "opt_sampled_fp", recorded)
+        return calls
+
+    def test_changes_per_round_count_grid_changes(self, monkeypatch):
+        field = build_gaussian_field(16, 16, 10.0)
+        for m in (16, 256):
+            part = PlayerPartition.square_tiling(16, m)
+            calls = self.record_visits(monkeypatch)
+            result = best_response_dynamics(field, part, 0.0, DynamicsParams(seed=0, t_br=5))
+            monkeypatch.undo()
+            assert len(result.changes_per_round) == 5
+            assert sum(result.changes_per_round) == sum(changed for _, changed in calls) > 0
+
+    def test_settled_one_cell_visits_are_not_scored(self, monkeypatch):
+        # Once every player has had a scored visit since the grid last
+        # changed, no visit can change it, and none calls opt_sampled_fp.
+        field = build_gaussian_field(8, 8, 10.0)
+        part = PlayerPartition.per_cell(8, 8)
+        calls = self.record_visits(monkeypatch)
+        result = best_response_dynamics(field, part, 0.0, DynamicsParams(seed=0))
+        scored = set()
+        for k, (i, changed) in enumerate(calls):
+            assert len(scored) < part.m, f"call {k} after the grid settled"
+            scored = {i} if changed else scored | {i}
+        assert len(scored) == part.m
+        assert len(calls) < sum(row[2] for row in result.trace)
 
 
 # sha256 over a run's final cells bytes, repr(trace), repr(welfare_trajectory)
@@ -577,12 +655,12 @@ class TestBlockScorer:
         def state(self, value):
             self.gen.bit_generator.state, self.drawn = value
 
-        def random(self, size):
-            out = self.gen.random(size)
+        def random(self, size=None):
+            out = self.gen.random(1 if size is None else size)
             if self.drawn <= self.k < self.drawn + out.size:
                 out[self.k - self.drawn] = 0.0
             self.drawn += out.size
-            return out
+            return out if size is not None else float(out[0])
 
         def integers(self, *args, **kwargs):
             return self.gen.integers(*args, **kwargs)
@@ -604,6 +682,48 @@ class TestBlockScorer:
                 states.append(rng.bit_generator.state)
             assert np.array_equal(outs[0], outs[1]), k
             assert states[0] == states[1], k
+
+    def test_visit_draws_report_a_zero_reference_uniform(self):
+        # One cell, t_opt = 3: doubles 0, 2 and 4 are the references'
+        # uniforms and 1, 3 and 5 the selections'.  Only a 0.0 at a later
+        # reference (2 or 4) calls for the replay.
+        for k in range(6):
+            rng = self.ZeroAt(6, k)
+            before = rng.bit_generator.state
+            drawn = dynamics._visit_draws(1, 3, rng)
+            if k in (2, 4):
+                assert drawn is None, k
+                assert rng.bit_generator.state == before, k
+            else:
+                assert drawn is not None, k
+                assert rng.bit_generator.state[1] == 6, k
+
+    def test_zero_reference_uniform_at_settled_visit_replays(self, monkeypatch):
+        # With p_player = 1 and t_opt = 3, visit v of a per-cell run draws
+        # doubles 7v .. 7v + 6: p_player's, then the visit's, of which 7v + 3
+        # and 7v + 5 are later references' uniforms.  Late in the run the
+        # visits are settled; a 0.0 there must fall through to the replayed
+        # visit, one call of opt_sampled_fp more, and the run must still
+        # match the plain loop.
+        field = build_gaussian_field(4, 4, 10.0)
+        part = PlayerPartition.per_cell(4, 4)
+        params = DynamicsParams(seed=0, t_br=8, t_opt=3, p_player=1.0)
+
+        def run(k, loop):
+            monkeypatch.setattr(np.random, "Generator", lambda _: self.ZeroAt(0, k))
+            calls = TestBestResponseDynamics.record_visits(monkeypatch)
+            out = loop(field, part, 0.0, params)
+            monkeypatch.undo()
+            return out, len(calls)
+
+        plain, plain_calls = run(-1, best_response_dynamics)
+        for v in (6 * 16 + 5, 7 * 16 + 11):
+            for k in (7 * v + 3, 7 * v + 5):
+                result, calls = run(k, best_response_dynamics)
+                (config, trace, *_), _ = run(k, naive_best_response_dynamics)
+                assert calls == plain_calls + 1, k
+                assert result.config == config == plain.config, k
+                assert result.trace == trace == plain.trace, k
 
 
 class TestCutTable:

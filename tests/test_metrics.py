@@ -213,3 +213,10 @@ class TestFinesExperiment:
         part = PlayerPartition.per_cell(4, 4)
         with pytest.raises(ValueError):
             fines_experiment(field, part, 0.0, -0.1, DynamicsParams())
+
+    @pytest.mark.parametrize("penalty", [np.nan, np.inf])
+    def test_non_finite_penalty_rejected(self, penalty):
+        field = build_uniform_field(4, 4)
+        part = PlayerPartition.per_cell(4, 4)
+        with pytest.raises(ValueError, match=f"penalty .* got {penalty}"):
+            fines_experiment(field, part, 0.0, penalty, DynamicsParams(t_br=1))

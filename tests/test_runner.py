@@ -165,6 +165,21 @@ class TestRunCell:
         assert metrics["nash_gap"] == row["nash_gap"] == check.max_gain
         assert metrics["profitable_flips"] == row["profitable_flips"] == check.profitable_flips
 
+    def test_metrics_record_change_counts(self, tmp_path):
+        cfg = tiny_config(tmp_path / "out")
+        run_cell(cfg, 4, 0.0, 10.0, 0)
+        with open(os.path.join(cfg.out_dir, "runs", "4_0_10_0", "metrics.json")) as fh:
+            blob = json.load(fh)
+        changes = blob["metrics"]["changes_per_round"]
+        assert len(changes) == blob["manifest"]["t_br"] and sum(changes) > 0
+        last = blob["metrics"]["last_change_round"]
+        assert changes[last] > 0 and not any(changes[last + 1:])
+        run_cell(cfg, 4, 1.0, 10.0, 0)
+        with open(os.path.join(cfg.out_dir, "runs", "4_1_10_0", "metrics.json")) as fh:
+            metrics = json.load(fh)["metrics"]
+        assert not any(metrics["changes_per_round"])
+        assert metrics["last_change_round"] == -1
+
     def test_fine_column(self, tmp_path):
         cfg = tiny_config(tmp_path / "out", fines=[0.05])
         row = run_cell(cfg, 4, 0.0, 10.0, 0)
