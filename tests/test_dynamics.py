@@ -388,6 +388,15 @@ GOLDEN_RUNS = {
         "23ec12d4b3720b22b1d5d2ce99140cb4935e93f61fd7cb414c1f1c3a36886365"),
     "m256_p_player0.5_c0.05": (16, 256, 0.05, "gaussian", {"t_br": 20, "p_player": 0.5},
                                "69e31235673818b19d5c2c94231f4a3cd18764475e2c70e739eb91db9aaa7d9b"),
+    # Large players, whose components span a small part of the grid.
+    "32x32_m1": (32, 1, 0.0, "gaussian", {},
+                 "1e737a1b38def1544ac464987cf8b3a6f1cd23ddc5c935d2da87cae02c10d293"),
+    "32x32_m1_conn8": (32, 1, 0.0, "gaussian", {"connectivity": 8},
+                       "7912df9acbb6de5b3795ebabaf89d97f0f564fdfe1f0d7f3541ff759e3a5c15d"),
+    "32x32_m4": (32, 4, 0.0, "gaussian", {"t_br": 5},
+                 "33cc47ac554dff402c03a2f1012cb48b804b7f84503cacdda5d5c3ff431f7236"),
+    "32x32_m4_conn8": (32, 4, 0.0, "gaussian", {"t_br": 5, "connectivity": 8},
+                       "9cbd789b2eede4d54ec9bf67aac280332a6053efff4a18c99d41d600afa33f52"),
 }
 
 
@@ -412,6 +421,27 @@ def test_golden_dynamics_runs():
         if digest.hexdigest() != want:
             changed.append(name)
     assert not changed, f"runs differ from the golden runs: {changed}"
+
+
+def test_golden_single_flip_scan_of_a_large_player():
+    # The final grid of a default 64x64, m = 1 run, scanned at two costs
+    # and both connectivities: max_gain to the last digit, its witness and
+    # the count of profitable flips.
+    field = build_gaussian_field(64, 64, 10.0)
+    part = PlayerPartition.single(64, 64)
+    config = best_response_dynamics(field, part, 0.0, DynamicsParams(seed=0)).config
+    assert hashlib.sha256(config.cells.tobytes()).hexdigest() == (
+        "9752153ec19a603c58765e4903102802e940db78f4bc26e3d90b5de1f2c25065")
+    want = {
+        (4, 0.0): ("-0.18216064846239577", (0, ("flip", 597)), 0),
+        (4, 0.3): ("-0.16572260521851526", (0, ("flip", 1092)), 0),
+        (8, 0.0): ("5.26666919601712", (0, ("flip", 0)), 2045),
+        (8, 0.3): ("5.56666919601712", (0, ("flip", 0)), 3627),
+    }
+    for (connectivity, cost), pinned in want.items():
+        check = is_nash(config, field, part, cost, connectivity=connectivity)
+        got = (repr(check.max_gain), check.witness, check.profitable_flips)
+        assert got == pinned, (connectivity, cost)
 
 
 class TestLabelingCounts:
