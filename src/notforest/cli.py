@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -42,6 +43,9 @@ def _load_run_dir(run_dir: str):
     where = f"{path} manifest"
     for key in ("m", "field_v", "cost"):
         _require(manifest, key, where)
+    cost = manifest["cost"]
+    if not isinstance(cost, (int, float)) or not math.isfinite(cost) or cost < 0:
+        raise ValueError(f"{where} cost must be finite and nonnegative, got {cost!r}")
     v = manifest["field_v"]
     if v is None:
         field = build_uniform_field(config.width, config.height)

@@ -200,16 +200,17 @@ class PlayerScorer:
 
     def __init__(self, i: int, base_cells: np.ndarray, field, part: PlayerPartition,
                  cost: float, connectivity: int = 4, labeling=None) -> None:
+        self.i, self.owner = i, part.owner
         self.rows, self.cols = part.player_cells(i)
         self.ys, self.xs = self.rows.tolist(), self.cols.tolist()
         self.p, self.cost, self.connectivity = field.p, cost, connectivity
         self.work = base_cells.copy()
         self.memo: dict[bytes, list] = {}
         if labeling is not None:
-            self.memo[base_cells[self.rows, self.cols].tobytes()] = [labeling, None, None]
+            self.memo[base_cells[self.rows, self.cols].tobytes()] = [labeling, None, None, {}]
 
     def labeled(self, s: np.ndarray) -> list:
-        """[labeling, own component counts or None, utility or None] of s."""
+        """[labeling, own counts or None, utility or None, box gains by cell] of s."""
         key = s.tobytes()
         entry = self.memo.get(key)
         if entry is None:
@@ -217,7 +218,7 @@ class PlayerScorer:
                 self.memo.clear()
             self.work[self.rows, self.cols] = s
             entry = self.memo[key] = [label_cells(self.work, self.p, self.connectivity),
-                                      None, None]
+                                      None, None, {}]
         return entry
 
     def own_counts(self, entry: list) -> np.ndarray:
@@ -245,50 +246,68 @@ class PlayerScorer:
         that labeling passes not_cut_table) leaves its component C as C minus
         j: mass(C) - p_j, with one tree fewer of the player's.  Those masses
         differ from a relabel's by rounding, so such a gain within _CUT_GUARD
-        of 0, and every gain of a local cut cell, is read off the labeling of
-        s with cell j cleared instead; every gain's sign is then the one the
-        relabeled masses give.
+        of 0, and every gain of a local cut cell, is read off a relabel of
+        the bounding box of j's component with j cleared (_box_gain) instead;
+        every gain's sign is then the one the relabeled masses give.
         """
-        base = self.labeled(s)
+        entry = self.labeled(s)
+        labeling, box_gains = entry[0], entry[3]
         table = not_cut_table(self.connectivity)
         neighbor_bits = (1 << self.connectivity) - 1
-        offsets = _OFFSETS[:self.connectivity]
-        height, width = self.work.shape
         p_at = self.p.item
         gains = np.empty(len(js))
         for k, j in enumerate(js):
-            entry = base
-            labeling = entry[0]
             y, x = self.ys[j], self.xs[j]
             p_j = p_at(y, x)
-            if s[j]:
-                ring = _ring(labeling.labels, y, x)
-                if table[ring]:
-                    lab = labeling.labels.item(y, x) - 1
-                    rest = ([(labeling.masses.item(lab) - p_j,
-                              self.own_counts(entry).item(lab) - 1)]
-                            if ring & neighbor_bits else [])
-                    gain = _plant_gain(p_j, rest, self.cost)
-                    if abs(gain) > _CUT_GUARD:
-                        gains[k] = gain
-                        continue
-                cleared = s.copy()
-                cleared[j] = 0
-                entry = self.labeled(cleared)
-                labeling = entry[0]
-            label_at = labeling.labels.item
-            neigh = []
-            for dy, dx in offsets:
-                ny, nx = y + dy, x + dx
-                if 0 <= ny < height and 0 <= nx < width:
-                    lab = label_at(ny, nx)
-                    if lab and lab not in neigh:
-                        neigh.append(lab)
-            if neigh:
-                mass_at, count_at = labeling.masses.item, self.own_counts(entry).item
-                neigh = [(mass_at(lab - 1), count_at(lab - 1)) for lab in neigh]
-            gains[k] = _plant_gain(p_j, neigh, self.cost)
+            if not s[j]:
+                gains[k] = self._gain_next_to(labeling, self.own_counts(entry), y, x, p_j)
+                continue
+            ring = _ring(labeling.labels, y, x)
+            if table[ring]:
+                lab = labeling.labels.item(y, x) - 1
+                rest = ([(labeling.masses.item(lab) - p_j,
+                          self.own_counts(entry).item(lab) - 1)]
+                        if ring & neighbor_bits else [])
+                gain = _plant_gain(p_j, rest, self.cost)
+                if abs(gain) > _CUT_GUARD:
+                    gains[k] = gain
+                    continue
+            gain = box_gains.get(j)
+            if gain is None:
+                gain = box_gains[j] = self._box_gain(labeling, y, x, p_j)
+            gains[k] = gain
         return gains
+
+    def _box_gain(self, labeling, y: int, x: int, p_j: float) -> float:
+        """Plant gain of planted cell (y, x) off a labeling of its component's
+        bounding box with the cell cleared.  bincount sums each piece's mass
+        in the grid's raster order restricted to the box: a grid relabel's."""
+        lab = labeling.labels.item(y, x)
+        box = labeling.boxes[lab - 1]
+        y0, x0 = box[0].start, box[1].start
+        sub = labeling.labels[box] == lab
+        sub[y - y0, x - x0] = False
+        pieces = label_cells(sub, self.p[box], self.connectivity)
+        own = np.bincount(pieces.labels[self.owner[box] == self.i],
+                          minlength=pieces.n_components + 1)[1:]
+        return self._gain_next_to(pieces, own, y - y0, x - x0, p_j)
+
+    def _gain_next_to(self, labeling, own: np.ndarray, y: int, x: int, p_j: float) -> float:
+        """_plant_gain of an empty cell (y, x) of labeling's array next to its
+        distinct components, in _OFFSETS order; own[k] is the player's trees
+        in component k + 1, and cells off the array are empty."""
+        height, width = labeling.labels.shape
+        label_at = labeling.labels.item
+        neigh = []
+        for dy, dx in _OFFSETS[:self.connectivity]:
+            ny, nx = y + dy, x + dx
+            if 0 <= ny < height and 0 <= nx < width:
+                lab = label_at(ny, nx)
+                if lab and lab not in neigh:
+                    neigh.append(lab)
+        mass_at, own_at = labeling.masses.item, own.item
+        return _plant_gain(p_j, [(mass_at(lab - 1), own_at(lab - 1)) for lab in neigh],
+                           self.cost)
 
 
 def _plant_gain(p_j: float, neigh: list, cost: float) -> float:
@@ -475,11 +494,13 @@ def _visit_draws(n_i: int, t_opt: int, rng: np.random.Generator) -> tuple | None
     uniforms after them."""
     state = rng.bit_generator.state if t_opt > 1 else None
     rng.random(n_i)
-    bits = rng.integers(0, 2, size=n_i, dtype=np.uint8).tolist()
+    # A scalar bit is an array of one's bit and stream, at a third of the cost.
+    bits = (rng.integers(0, 2, size=n_i, dtype=np.uint8).tolist() if n_i > 1
+            else [int(rng.integers(0, 2, dtype=np.uint8))])
     # The first iteration's n selection uniforms, then per later iteration n
     # reference uniforms and n selection uniforms.
     draws = rng.random((2 * t_opt - 1) * n_i)
-    if not draws[n_i:].reshape(t_opt - 1, 2, n_i)[:, 0].all():
+    if t_opt > 1 and not draws[n_i:].reshape(t_opt - 1, 2, n_i)[:, 0].all():
         rng.bit_generator.state = state
         return None
     return bits, draws
@@ -561,6 +582,11 @@ def opt_sampled_fp(i: int, base_cells: np.ndarray, field, part: PlayerPartition,
     return incumbent
 
 
+def _check_cost(cost: float) -> None:
+    if not math.isfinite(cost) or cost < 0:
+        raise ValueError(f"cost must be finite and nonnegative, got {cost}")
+
+
 def best_response_dynamics(field, part: PlayerPartition, cost: float,
                            params: DynamicsParams) -> RunResult:
     """Run best-response dynamics from the all-empty grid and return the
@@ -568,8 +594,7 @@ def best_response_dynamics(field, part: PlayerPartition, cost: float,
     manifest.  Every draw comes from one PCG64 generator seeded with
     params.seed."""
     params.validate()
-    if not math.isfinite(cost) or cost < 0:
-        raise ValueError(f"cost must be finite and nonnegative, got {cost}")
+    _check_cost(cost)
     n_i_max = max(part.n_player_cells(i) for i in range(part.m))
     sched = default_iterations(part.m, n_i_max)
     t_br = params.t_br if params.t_br is not None else sched[0]
@@ -685,12 +710,14 @@ def is_nash(config: GridConfig, field, part: PlayerPartition, cost: float,
     reads the base labeling; removing a tree that is not a local cut cell
     reads it too, its component less the tree, and only removing a local cut
     cell, or a tree whose gain lies within _CUT_GUARD of 0, relabels the
-    grid with that cell cleared.  The guard keeps the sign of every gain that
-    of the relabeled masses.  max_gain may differ from a difference of two
-    utilities by rounding; the witness is the first cell, row-major, that
-    attains it.
+    bounding box of the tree's component with that cell cleared.  The guard
+    keeps the sign of every gain that of the relabeled masses.  max_gain may
+    differ from a difference of two utilities by rounding; the witness is
+    the first cell, row-major, that attains it.  cost must be finite and
+    nonnegative.
     """
     part.check_dims(config.width, config.height)
+    _check_cost(cost)
     if scope not in ("single_flip", "exhaustive"):
         raise ValueError(f"unknown deviation scope {scope!r}")
     labeling = label_components(config, field, connectivity)

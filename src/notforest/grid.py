@@ -167,17 +167,18 @@ class ComponentLabeling:
     """Connected components of planted cells.
 
     labels[y, x] > 0 for planted cells (component id), 0 for empty cells.
-    masses[k] and sizes[k] are the total strike probability and the cell
-    count of component k + 1; sizes is counted on first use.
+    masses[k], sizes[k] and boxes[k] are the total strike probability, the
+    cell count and the bounding box (a pair of slices) of component k + 1;
+    sizes and boxes are found on first use.
     """
 
-    __slots__ = ("labels", "masses", "n_components", "_sizes")
+    __slots__ = ("labels", "masses", "n_components", "_sizes", "_boxes")
 
     def __init__(self, labels: np.ndarray, masses: np.ndarray) -> None:
         self.labels = labels
         self.masses = masses
         self.n_components = len(masses)
-        self._sizes = None
+        self._sizes = self._boxes = None
 
     @property
     def sizes(self) -> np.ndarray:
@@ -185,6 +186,12 @@ class ComponentLabeling:
             self._sizes = np.bincount(self.labels.ravel(),
                                       minlength=self.n_components + 1)[1:]
         return self._sizes
+
+    @property
+    def boxes(self) -> list:
+        if self._boxes is None:
+            self._boxes = ndimage.find_objects(self.labels, self.n_components)
+        return self._boxes
 
 
 def label_cells(cells: np.ndarray, p: np.ndarray, connectivity: int) -> ComponentLabeling:

@@ -122,3 +122,17 @@ def test_verify_names_missing_manifest(tmp_path, capsys):
     assert main(["verify", "--run-dir", str(tmp_path)]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValueError" and "'manifest'" in err["message"]
+
+
+@pytest.mark.parametrize("command", ["verify", "fragility"])
+@pytest.mark.parametrize("cost", [float("nan"), float("inf"), -0.5])
+def test_run_dir_cost_must_be_finite_and_nonnegative(tmp_path, capsys, command, cost):
+    (tmp_path / "grid.txt").write_text("0000\n0110\n0000\n0000\n")
+    path = tmp_path / "metrics.json"
+    path.write_text(json.dumps({"manifest": {"m": 4, "field_v": None, "cost": cost}}))
+    assert main([command, "--run-dir", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    err = json.loads(err)
+    assert err["error"] == "ValueError"
+    assert str(path) in err["message"] and f"got {cost}" in err["message"]

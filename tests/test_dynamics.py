@@ -187,6 +187,20 @@ class TestOptSampledFP:
             fresh.random((2 * t_opt - 1) * n)
             assert rng.bit_generator.state == fresh.bit_generator.state, n
 
+    def test_one_cell_draws_match_the_array_form(self):
+        # _visit_draws draws a one-cell player's bit as a scalar; bits,
+        # uniforms and generator states must be those of the array form,
+        # draw after draw.
+        for seed in range(200):
+            for t_opt in (1, 3):
+                rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                for _ in range(3):
+                    bits, draws = dynamics._visit_draws(1, t_opt, rng)
+                    ref.random(1)
+                    assert bits == ref.integers(0, 2, size=1, dtype=np.uint8).tolist()
+                    assert np.array_equal(draws, ref.random(2 * t_opt - 1))
+                    assert rng.bit_generator.state == ref.bit_generator.state, (seed, t_opt)
+
 
 class TestBestResponseDynamics:
     def test_unprofitable_cost_yields_empty_grid(self):
@@ -577,6 +591,132 @@ class TestFlipGainOracle:
             assert check.is_nash == (check.max_gain <= 1e-9)
 
 
+class TestBoxRelabel:
+    """Removal gains priced on a relabel of the component's bounding box
+    equal, bit for bit, those read off a relabel of the whole grid."""
+
+    @staticmethod
+    def reference_gain(cells, field, part, y, x, cost, connectivity):
+        """_plant_gain over the distinct components next to (y, x) in the
+        labeling of the whole grid with that cell cleared."""
+        cleared = cells.copy()
+        cleared[y, x] = 0
+        labeling = label_cells(cleared, field.p, connectivity)
+        labels = labeling.labels
+        own = np.bincount(labels[part.owner == part.owner[y, x]],
+                          minlength=labeling.n_components + 1)[1:]
+        height, width = cells.shape
+        neigh = []
+        for dy, dx in dynamics._OFFSETS[:connectivity]:
+            ny, nx = y + dy, x + dx
+            if 0 <= ny < height and 0 <= nx < width:
+                lab = int(labels[ny, nx])
+                if lab and lab not in neigh:
+                    neigh.append(lab)
+        return dynamics._plant_gain(float(field.p[y, x]),
+                                    [(float(labeling.masses[lab - 1]), int(own[lab - 1]))
+                                     for lab in neigh], cost)
+
+    @staticmethod
+    def arms(edge, y, x, connectivity, n_arms, length=3):
+        """A tree at (y, x) with n_arms straight arms of trees, orthogonal
+        under 4-connectivity and diagonal under 8, which touch one another
+        only through it."""
+        steps = (((0, 1), (1, 0), (0, -1), (-1, 0)) if connectivity == 4
+                 else ((1, 1), (1, -1), (-1, -1), (-1, 1)))
+        cells = np.zeros((edge, edge), dtype=np.uint8)
+        cells[y, x] = 1
+        for dy, dx in steps[:n_arms]:
+            for k in range(1, length + 1):
+                if 0 <= y + k * dy < edge and 0 <= x + k * dx < edge:
+                    cells[y + k * dy, x + k * dx] = 1
+        return cells
+
+    def cases(self):
+        """(name, cells, partition, the cell (y, x), the pieces its removal
+        leaves, connectivity)."""
+        for connectivity in (4, 8):
+            # A ring around a 3x3 hole: each side's middle tree is a local
+            # cut cell, and the ring stays one component without it.
+            ring = np.zeros((7, 7), dtype=np.uint8)
+            ring[1:6, 1:6] = 1
+            ring[2:5, 2:5] = 0
+            yield "ring", ring, PlayerPartition.single(7, 7), (1, 3), 1, connectivity
+            for n_arms in (2, 3, 4):
+                yield (f"cut_{n_arms}", self.arms(9, 4, 4, connectivity, n_arms),
+                       PlayerPartition.single(9, 9), (4, 4), n_arms, connectivity)
+            # Trees along the top and left edges, cut on the top edge.
+            edge = np.zeros((8, 8), dtype=np.uint8)
+            edge[0, :6] = edge[:5, 0] = 1
+            yield "edge", edge, PlayerPartition.single(8, 8), (0, 3), 2, connectivity
+            # Four arms from player 0's corner into the three other
+            # players' quarters.
+            yield ("shared", self.arms(8, 3, 3, connectivity, 4, length=4),
+                   PlayerPartition.square_tiling(8, 4), (3, 3), 4, connectivity)
+            lone = np.zeros((5, 5), dtype=np.uint8)
+            lone[2, 3] = 1
+            yield "isolated", lone, PlayerPartition.single(5, 5), (2, 3), 0, connectivity
+
+    def test_box_gains_equal_whole_grid_relabel(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        for name, cells, part, (y, x), n_pieces, connectivity in self.cases():
+            p = rng.random(cells.shape)
+            field = LightningField(p / p.sum())
+            cleared = cells.copy()
+            cleared[y, x] = 0
+            labels = label_cells(cleared, field.p, connectivity).labels
+            assert len({labels[y + dy, x + dx] for dy, dx in dynamics._OFFSETS[:connectivity]
+                        if 0 <= y + dy < cells.shape[0] and 0 <= x + dx < cells.shape[1]}
+                       - {0}) == n_pieces, name
+            if name != "isolated":
+                assert not dynamics.not_cut_table(connectivity)[ring_of(cells, y, x)], name
+            i = int(part.owner[y, x])
+            rows, cols = part.player_cells(i)
+            s = cells[rows, cols]
+            j = int(np.flatnonzero((rows == y) & (cols == x))[0])
+            # An infinite guard sends the isolated tree, which is no local
+            # cut cell, through the box relabel too.
+            for guard in (dynamics._CUT_GUARD, np.inf):
+                monkeypatch.setattr(dynamics, "_CUT_GUARD", guard)
+                for cost in (0.0, 0.3):
+                    want = self.reference_gain(cells, field, part, y, x, cost, connectivity)
+                    scorer = dynamics.PlayerScorer(i, cells, field, part, cost, connectivity)
+                    assert scorer.plant_gains(s, [j])[0] == want, (name, connectivity, cost)
+                monkeypatch.undo()
+
+    def test_every_removal_equals_whole_grid_relabel(self, monkeypatch):
+        # With an infinite guard every tree of the flip-gain oracle's random
+        # grids is priced on a box relabel.
+        monkeypatch.setattr(dynamics, "_CUT_GUARD", np.inf)
+        for cells, field, part, connectivity, cost in TestFlipGainOracle.cases():
+            labeling = label_cells(cells, field.p, connectivity)
+            for i in range(part.m):
+                rows, cols = part.player_cells(i)
+                s = cells[rows, cols]
+                scorer = dynamics.PlayerScorer(i, cells, field, part, cost, connectivity,
+                                               labeling)
+                gains = scorer.plant_gains(s, range(s.size))
+                for j in np.flatnonzero(s):
+                    want = self.reference_gain(cells, field, part, int(rows[j]), int(cols[j]),
+                                               cost, connectivity)
+                    assert gains[j] == want, (part.m, connectivity, cost, j)
+
+    def test_box_gains_are_memoized_per_strategy(self, monkeypatch):
+        # A strategy priced again reads its removal gains off the memo.
+        _, cells, part, _, _, connectivity = next(self.cases())
+        field = build_uniform_field(*cells.shape)
+        scorer = dynamics.PlayerScorer(0, cells, field, part, 0.0, connectivity)
+        s = cells.ravel()
+        calls = TestLabelingCounts.count_labelings(monkeypatch)
+        first = scorer.plant_gains(s, range(s.size))
+        assert len(calls) == 1 + sum(
+            not dynamics.not_cut_table(connectivity)[ring_of(cells, *divmod(g, cells.shape[1]))]
+            for g in np.flatnonzero(s))
+        calls.clear()
+        assert np.array_equal(scorer.plant_gains(s, range(s.size)), first)
+        assert calls == []
+
+
 class TestBlockScorer:
     """The small-player visit kernel: utilities and one-cell gains off a
     frozen exterior, its exact fallbacks and its batched draws."""
@@ -838,6 +978,13 @@ class TestIsNash:
         part = PlayerPartition.single(8, 8)
         with pytest.raises(ValueError):
             is_nash(GridConfig.empty(8, 8), field, part, 0.0, scope="exhaustive")
+
+    @pytest.mark.parametrize("cost", [np.nan, np.inf, -0.5])
+    def test_non_finite_or_negative_cost_rejected(self, cost):
+        field = build_uniform_field(2, 2)
+        part = PlayerPartition.per_cell(2, 2)
+        with pytest.raises(ValueError, match=f"got {cost}"):
+            is_nash(GridConfig.empty(2, 2), field, part, cost)
 
     def test_unknown_scope(self):
         field = build_uniform_field(2, 2)
