@@ -46,13 +46,16 @@ def _load_run_dir(run_dir: str):
     cost = manifest["cost"]
     if not isinstance(cost, (int, float)) or not math.isfinite(cost) or cost < 0:
         raise ValueError(f"{where} cost must be finite and nonnegative, got {cost!r}")
+    m = manifest["m"]
+    if not isinstance(m, int) or isinstance(m, bool):
+        raise ValueError(f"{where} m must be an integer, got {m!r}")
     v = manifest["field_v"]
     if v is None:
         field = build_uniform_field(config.width, config.height)
     else:
         cx, cy = _require(manifest, "field_center", where)
         field = build_gaussian_field(config.width, config.height, v, (cx, cy))
-    part = PlayerPartition.square_tiling(config.width, manifest["m"])
+    part = PlayerPartition.square_tiling(config.width, m)
     return config, field, part, manifest
 
 

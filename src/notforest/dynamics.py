@@ -18,17 +18,13 @@ fixed (one uniform per player per outer round; per inner iteration the
 reference strategy first, then one uniform per cell in row-major order), so a
 (parameters, seed) pair reproduces a run bit-exactly.  A visit to a player of
 at most _BLOCK_MAX_CELLS cells makes those draws in three calls, which give
-the same stream; when a later reference uniform is exactly 0.0 (chance 2**-53
-per draw) the generator is put back and the visit replayed iteration by
-iteration, so the draw order is unchanged.  A one-cell player's visit is a
-function of the grid, so when the grid has not changed since the player's
-last scored visit, the visit makes its draws without scoring: it would keep
-the cell.
+the same stream.  A one-cell player's visit is a function of the grid, so
+when the grid has not changed since the player's last scored visit, the
+visit makes its draws without scoring: it would keep the cell.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as _field
 from functools import cache
 from itertools import product
@@ -40,6 +36,7 @@ from .grid import (
     GridConfig,
     PlayerPartition,
     cells_utility,
+    check_cost,
     label_cells,
     label_components,
     neighbor_structure,
@@ -130,20 +127,15 @@ def choose_actions(n_cells: int, previous: np.ndarray | None,
     """Reference strategy for one inner iteration: uniform random bits on the
     first iteration (previous None), the previous candidate after that.
 
-    Draw order: one uniform per cell (row-major), then one random bit per
-    cell if any cell takes one: every cell on the first iteration, later
-    only a cell whose uniform is exactly 0.0 (chance 2**-53), as sampled
-    fictitious play with no exploration draws them.
+    Draw order: one uniform per cell (row-major), then on the first
+    iteration one random bit per cell.  With no exploration the uniforms
+    decide nothing; drawing them keeps a seed's stream, and so its run, as
+    it has been.
     """
-    u = rng.random(n_cells)
+    rng.random(n_cells)
     if previous is None:
         return rng.integers(0, 2, size=n_cells, dtype=np.uint8)
-    fresh = u == 0.0
-    if not fresh.any():
-        return previous
-    out = previous.copy()
-    out[fresh] = rng.integers(0, 2, size=n_cells, dtype=np.uint8)[fresh]
-    return out
+    return previous
 
 
 # Labelings a PlayerScorer keeps (read at each lookup).
@@ -485,38 +477,26 @@ class BlockScorer:
         return exact.utility(self.strategy(s)) > exact.utility(self.strategy(t))
 
 
-def _visit_draws(n_i: int, t_opt: int, rng: np.random.Generator) -> tuple | None:
+def _visit_draws(n_i: int, t_opt: int, rng: np.random.Generator) -> tuple:
     """A visit's draws for an n_i-cell player, made in three calls: the same
-    stream as the per-iteration draws, unless a later iteration's reference
-    uniform is exactly 0.0.  choose_actions then draws fresh bits after it,
-    so the generator is put back and None returned, for the per-iteration
-    path.  Otherwise returns the first reference's bits, as a list, and the
-    uniforms after them."""
-    state = rng.bit_generator.state if t_opt > 1 else None
+    stream as the per-iteration draws.  Returns the first reference's bits,
+    as a list, and the uniforms after them."""
     rng.random(n_i)
     # A scalar bit is an array of one's bit and stream, at a third of the cost.
     bits = (rng.integers(0, 2, size=n_i, dtype=np.uint8).tolist() if n_i > 1
             else [int(rng.integers(0, 2, dtype=np.uint8))])
     # The first iteration's n selection uniforms, then per later iteration n
     # reference uniforms and n selection uniforms.
-    draws = rng.random((2 * t_opt - 1) * n_i)
-    if t_opt > 1 and not draws[n_i:].reshape(t_opt - 1, 2, n_i)[:, 0].all():
-        rng.bit_generator.state = state
-        return None
-    return bits, draws
+    return bits, rng.random((2 * t_opt - 1) * n_i)
 
 
 def _block_visit(i: int, base_cells: np.ndarray, field, part: PlayerPartition,
                  cost: float, t_opt: int, rng: np.random.Generator,
-                 connectivity: int, labeling) -> np.ndarray | None:
+                 connectivity: int, labeling) -> np.ndarray:
     """opt_sampled_fp for a player of at most _BLOCK_MAX_CELLS cells, scored
-    by a BlockScorer, with the visit's draws made by _visit_draws; None when
-    those call for the per-iteration path."""
+    by a BlockScorer, with the visit's draws made by _visit_draws."""
     n_i = part.n_player_cells(i)
-    drawn = _visit_draws(n_i, t_opt, rng)
-    if drawn is None:
-        return None
-    bits, draws = drawn
+    bits, draws = _visit_draws(n_i, t_opt, rng)
     picks = [[] for _ in range(t_opt)]
     for q in np.flatnonzero(draws <= default_p_cell(n_i)).tolist():
         k, j = divmod(q + n_i, 2 * n_i)
@@ -553,9 +533,7 @@ def opt_sampled_fp(i: int, base_cells: np.ndarray, field, part: PlayerPartition,
     by _block_visit, which makes the same decisions from the same draws.
     """
     if part.n_player_cells(i) <= _BLOCK_MAX_CELLS:
-        s = _block_visit(i, base_cells, field, part, cost, t_opt, rng, connectivity, labeling)
-        if s is not None:
-            return s
+        return _block_visit(i, base_cells, field, part, cost, t_opt, rng, connectivity, labeling)
     scorer = PlayerScorer(i, base_cells, field, part, cost, connectivity, labeling)
     n_i = scorer.rows.size
     p_cell = default_p_cell(n_i)
@@ -582,11 +560,6 @@ def opt_sampled_fp(i: int, base_cells: np.ndarray, field, part: PlayerPartition,
     return incumbent
 
 
-def _check_cost(cost: float) -> None:
-    if not math.isfinite(cost) or cost < 0:
-        raise ValueError(f"cost must be finite and nonnegative, got {cost}")
-
-
 def best_response_dynamics(field, part: PlayerPartition, cost: float,
                            params: DynamicsParams) -> RunResult:
     """Run best-response dynamics from the all-empty grid and return the
@@ -594,15 +567,13 @@ def best_response_dynamics(field, part: PlayerPartition, cost: float,
     manifest.  Every draw comes from one PCG64 generator seeded with
     params.seed."""
     params.validate()
-    _check_cost(cost)
+    check_cost(cost)
+    part.check_dims(field.width, field.height)
     n_i_max = max(part.n_player_cells(i) for i in range(part.m))
     sched = default_iterations(part.m, n_i_max)
     t_br = params.t_br if params.t_br is not None else sched[0]
     t_opt = params.t_opt if params.t_opt is not None else sched[1]
     rng = np.random.Generator(np.random.PCG64(params.seed))
-
-    if (field.width, field.height) != (part.width, part.height):
-        raise ValueError("field dimensions do not match partition")
 
     player_cells = [part.player_cells(i) for i in range(part.m)]
 
@@ -641,11 +612,12 @@ def best_response_dynamics(field, part: PlayerPartition, cost: float,
             # relabeled masses: the visit's outcome is a function of the
             # grid alone.  Its last scored visit applied that function, so
             # while the grid is unchanged since then the visit would keep
-            # the cell; it only makes its draws, unless they call for the
-            # replay.  Any change to a one-cell visit must keep its outcome a
-            # function of the grid, as a polish step that draws nothing would.
-            if updated and not (seen[i] == version
-                                and _visit_draws(1, t_opt, rng) is not None):
+            # the cell; it only makes its draws.  Any change to a one-cell
+            # visit must keep its outcome a function of the grid, as a polish
+            # step that draws nothing would.
+            if updated and seen[i] == version:
+                _visit_draws(1, t_opt, rng)
+            elif updated:
                 rows, cols = player_cells[i]
                 s_i = opt_sampled_fp(i, cells, field, part, cost, t_opt, rng,
                                      params.connectivity, labeling)
@@ -717,7 +689,7 @@ def is_nash(config: GridConfig, field, part: PlayerPartition, cost: float,
     nonnegative.
     """
     part.check_dims(config.width, config.height)
-    _check_cost(cost)
+    check_cost(cost)
     if scope not in ("single_flip", "exhaustive"):
         raise ValueError(f"unknown deviation scope {scope!r}")
     labeling = label_components(config, field, connectivity)

@@ -220,6 +220,11 @@ def survival_prob(labeling: ComponentLabeling, g: int) -> float:
     return float(1.0 - labeling.masses[lab - 1])
 
 
+def check_cost(cost: float) -> None:
+    if not math.isfinite(cost) or cost < 0:
+        raise ValueError(f"cost must be finite and nonnegative, got {cost}")
+
+
 def cells_utility(labeling: ComponentLabeling, rows, cols, cost: float) -> float:
     """Exact utility of the owner of cells (rows, cols) under a labeling:
     sum over the planted ones of (survival probability - cost)."""
@@ -236,8 +241,7 @@ def player_utility(config: GridConfig, field, part: PlayerPartition, i: int,
                    connectivity: int = 4) -> float:
     """Exact expected utility of player i: sum over planted cells of
     (survival probability - cost)."""
-    if cost < 0:
-        raise ValueError("cost must be nonnegative")
+    check_cost(cost)
     part.check_dims(config.width, config.height)
     if labeling is None:
         labeling = label_components(config, field, connectivity)

@@ -40,10 +40,11 @@ DEFAULT_EDGE = 32  # 128 is supported but opt-in (hours, not minutes)
 
 
 def _feasible_m(edge: int, m: int) -> bool:
-    if m < 1:
+    try:
+        PlayerPartition.square_tiling(edge, m)
+    except ValueError:
         return False
-    root = math.isqrt(m)
-    return root * root == m and not (root & (root - 1)) and edge % root == 0
+    return True
 
 
 @dataclass

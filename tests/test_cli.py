@@ -136,3 +136,17 @@ def test_run_dir_cost_must_be_finite_and_nonnegative(tmp_path, capsys, command, 
     err = json.loads(err)
     assert err["error"] == "ValueError"
     assert str(path) in err["message"] and f"got {cost}" in err["message"]
+
+
+@pytest.mark.parametrize("command", ["verify", "fragility"])
+@pytest.mark.parametrize("m", ["4", 4.0, True])
+def test_run_dir_m_must_be_an_integer(tmp_path, capsys, command, m):
+    (tmp_path / "grid.txt").write_text("0000\n0110\n0000\n0000\n")
+    path = tmp_path / "metrics.json"
+    path.write_text(json.dumps({"manifest": {"m": m, "field_v": None, "cost": 0.0}}))
+    assert main([command, "--run-dir", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    err = json.loads(err)
+    assert err["error"] == "ValueError"
+    assert str(path) in err["message"] and f"got {m!r}" in err["message"]

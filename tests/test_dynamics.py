@@ -172,7 +172,7 @@ class TestOptSampledFP:
         # A visit of t_opt = T iterations on an n-cell player draws n
         # uniforms and n bits for the first reference, n selection uniforms,
         # then 2n uniforms per later iteration: exactly what these three
-        # calls draw (a cell whose uniform is exactly 0.0 would add n bits).
+        # calls draw.
         field = build_gaussian_field(8, 8, 10.0)
         base = (np.random.default_rng(0).random((8, 8)) < 0.5).astype(np.uint8)
         t_opt = 7
@@ -807,23 +807,11 @@ class TestBlockScorer:
                 assert np.array_equal(a.player_utilities, b.player_utilities)
 
     class ZeroAt:
-        """A Generator stand-in on a PCG64 stream whose k-th double is
-        replaced by an exact 0.0; its state counts the doubles drawn."""
+        """A Generator stand-in on a PCG64 stream (gen) whose k-th double is
+        replaced by an exact 0.0."""
 
         def __init__(self, seed: int, k: int) -> None:
             self.gen, self.k, self.drawn = np.random.default_rng(seed), k, 0
-
-        @property
-        def bit_generator(self):
-            return self
-
-        @property
-        def state(self):
-            return self.gen.bit_generator.state, self.drawn
-
-        @state.setter
-        def state(self, value):
-            self.gen.bit_generator.state, self.drawn = value
 
         def random(self, size=None):
             out = self.gen.random(1 if size is None else size)
@@ -835,65 +823,54 @@ class TestBlockScorer:
         def integers(self, *args, **kwargs):
             return self.gen.integers(*args, **kwargs)
 
-    def test_zero_reference_uniform_replays_per_iteration(self, monkeypatch):
-        # Doubles 0..n-1 are the first reference's uniforms, n..2n-1 the
-        # first selection's, 2n..3n-1 the second reference's.  A 0.0 there
-        # draws fresh bits mid-visit, which the batched draws cannot follow.
-        field = build_gaussian_field(8, 8, 10.0)
-        part = PlayerPartition.square_tiling(8, 4)
-        base = (np.random.default_rng(0).random((8, 8)) < 0.5).astype(np.uint8)
-        n = part.n_player_cells(2)
-        for k in (2 * n + 3, 5 * n - 1, n + 1):
-            outs, states = [], []
-            for block_max in (dynamics._BLOCK_MAX_CELLS, 0):
-                monkeypatch.setattr(dynamics, "_BLOCK_MAX_CELLS", block_max)
+    @pytest.mark.parametrize("case", ["block_16_cells", "scorer_64_cells",
+                                      "settled_one_cell"])
+    def test_zero_reference_uniform_changes_nothing(self, monkeypatch, case):
+        # A later iteration's reference is the previous candidate whatever
+        # its uniforms: an exact 0.0 among them must leave the outcome and
+        # the PCG64 state as they are with no 0.0.
+        if case == "settled_one_cell":
+            # With p_player = 1 and t_opt = 3, visit v of a per-cell run
+            # draws doubles 7v .. 7v + 6: p_player's, then the visit's, of
+            # which 7v + 3 and 7v + 5 are later references' uniforms.  No
+            # grid change in the last two rounds leaves every visit of the
+            # last round settled, so none may call opt_sampled_fp.
+            field = build_gaussian_field(4, 4, 10.0)
+            part = PlayerPartition.per_cell(4, 4)
+            params = DynamicsParams(seed=0, t_br=8, t_opt=3, p_player=1.0)
+
+            def run(k):
+                rng = self.ZeroAt(0, k)
+                monkeypatch.setattr(np.random, "Generator", lambda _: rng)
+                calls = TestBestResponseDynamics.record_visits(monkeypatch)
+                result = best_response_dynamics(field, part, 0.0, params)
+                monkeypatch.undo()
+                return ((result.config, result.trace, result.changes_per_round, len(calls)),
+                        rng.gen.bit_generator.state)
+
+            plain, plain_state = run(-1)
+            assert plain[2][-2:] == [0, 0]
+            ks = [7 * v + d for v in range(7 * 16, 8 * 16) for d in (3, 5)]
+        else:
+            # Doubles 2tn .. 2tn + n - 1 are iteration t's reference
+            # uniforms; 16 cells go through _block_visit, 64 through
+            # PlayerScorer.
+            edge, t_opt = (8, 4) if case == "block_16_cells" else (16, 3)
+            field = build_gaussian_field(edge, edge, 10.0)
+            part = PlayerPartition.square_tiling(edge, 4)
+            base = (np.random.default_rng(0).random((edge, edge)) < 0.5).astype(np.uint8)
+            n = part.n_player_cells(2)
+            assert (n <= dynamics._BLOCK_MAX_CELLS) == (case == "block_16_cells")
+
+            def run(k):
                 rng = self.ZeroAt(6, k)
-                outs.append(opt_sampled_fp(2, base, field, part, 0.0, t_opt=8, rng=rng))
-                states.append(rng.bit_generator.state)
-            assert np.array_equal(outs[0], outs[1]), k
-            assert states[0] == states[1], k
+                s = opt_sampled_fp(2, base, field, part, 0.0, t_opt=t_opt, rng=rng)
+                return s.tolist(), rng.gen.bit_generator.state
 
-    def test_visit_draws_report_a_zero_reference_uniform(self):
-        # One cell, t_opt = 3: doubles 0, 2 and 4 are the references'
-        # uniforms and 1, 3 and 5 the selections'.  Only a 0.0 at a later
-        # reference (2 or 4) calls for the replay.
-        for k in range(6):
-            rng = self.ZeroAt(6, k)
-            before = rng.bit_generator.state
-            drawn = dynamics._visit_draws(1, 3, rng)
-            if k in (2, 4):
-                assert drawn is None, k
-                assert rng.bit_generator.state == before, k
-            else:
-                assert drawn is not None, k
-                assert rng.bit_generator.state[1] == 6, k
-
-    def test_zero_reference_uniform_at_settled_visit_replays(self, monkeypatch):
-        # With p_player = 1 and t_opt = 3, visit v of a per-cell run draws
-        # doubles 7v .. 7v + 6: p_player's, then the visit's, of which 7v + 3
-        # and 7v + 5 are later references' uniforms.  Late in the run the
-        # visits are settled; a 0.0 there must fall through to the replayed
-        # visit, one call of opt_sampled_fp more, and the run must still
-        # match the plain loop.
-        field = build_gaussian_field(4, 4, 10.0)
-        part = PlayerPartition.per_cell(4, 4)
-        params = DynamicsParams(seed=0, t_br=8, t_opt=3, p_player=1.0)
-
-        def run(k, loop):
-            monkeypatch.setattr(np.random, "Generator", lambda _: self.ZeroAt(0, k))
-            calls = TestBestResponseDynamics.record_visits(monkeypatch)
-            out = loop(field, part, 0.0, params)
-            monkeypatch.undo()
-            return out, len(calls)
-
-        plain, plain_calls = run(-1, best_response_dynamics)
-        for v in (6 * 16 + 5, 7 * 16 + 11):
-            for k in (7 * v + 3, 7 * v + 5):
-                result, calls = run(k, best_response_dynamics)
-                (config, trace, *_), _ = run(k, naive_best_response_dynamics)
-                assert calls == plain_calls + 1, k
-                assert result.config == config == plain.config, k
-                assert result.trace == trace == plain.trace, k
+            plain, plain_state = run(-1)
+            ks = [k for t in range(1, t_opt) for k in range(2 * t * n, (2 * t + 1) * n)]
+        for k in ks:
+            assert run(k) == (plain, plain_state), k
 
 
 class TestCutTable:

@@ -237,8 +237,9 @@ class TestPlayerUtility:
     def test_negative_cost_rejected(self):
         field = build_uniform_field(2, 2)
         part = PlayerPartition.single(2, 2)
-        with pytest.raises(ValueError):
-            player_utility(GridConfig.empty(2, 2), field, part, 0, -0.1)
+        for cost in (-0.1, np.nan, np.inf):
+            with pytest.raises(ValueError, match=f"got {cost}"):
+                player_utility(GridConfig.empty(2, 2), field, part, 0, cost)
 
     def test_matches_brute_force_definition(self):
         rng = np.random.default_rng(11)

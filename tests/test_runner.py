@@ -104,6 +104,20 @@ class TestValidateAndLoad:
         for m in (0, -4):
             with pytest.raises(ValueError, match=f"m={m} is not a power of 4"):
                 ExperimentConfig(edge=16, m_values=[m], m_defaulted=False).validate()
+        # The sweep admits exactly the player counts square_tiling tiles.
+        tiled = {(6, 1), (6, 4), (8, 1), (8, 4), (8, 16), (8, 64),
+                 (16, 1), (16, 4), (16, 16), (16, 64)}
+        for edge in (6, 8, 16):
+            for m in (0, -4, 1, 2, 4, 8, 16, 64):
+                cfg = ExperimentConfig(edge=edge, m_values=[m], m_defaulted=False)
+                if (edge, m) in tiled:
+                    assert PlayerPartition.square_tiling(edge, m).m == m
+                    cfg.validate()
+                    continue
+                with pytest.raises(ValueError):
+                    PlayerPartition.square_tiling(edge, m)
+                with pytest.raises(ValueError, match=f"m={m} is not a power of 4"):
+                    cfg.validate()
 
     @pytest.mark.parametrize("key, values", [
         ("m_values", [4, 4]),
