@@ -34,6 +34,11 @@ def _require(record: dict, key: str, where: str):
     return record[key]
 
 
+def _is(value, kind) -> bool:
+    """isinstance(value, kind), with a bool (JSON true or false) no number."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def _load_run_dir(run_dir: str):
     with open(os.path.join(run_dir, "grid.txt")) as fh:
         config = GridConfig.from_text(fh.read())
@@ -44,17 +49,22 @@ def _load_run_dir(run_dir: str):
     for key in ("m", "field_v", "cost"):
         _require(manifest, key, where)
     cost = manifest["cost"]
-    if not isinstance(cost, (int, float)) or not math.isfinite(cost) or cost < 0:
+    if not _is(cost, (int, float)) or not math.isfinite(cost) or cost < 0:
         raise ValueError(f"{where} cost must be finite and nonnegative, got {cost!r}")
     m = manifest["m"]
-    if not isinstance(m, int) or isinstance(m, bool):
+    if not _is(m, int):
         raise ValueError(f"{where} m must be an integer, got {m!r}")
     v = manifest["field_v"]
     if v is None:
         field = build_uniform_field(config.width, config.height)
+    elif not _is(v, (int, float)):
+        raise ValueError(f"{where} field_v must be null or a number, got {v!r}")
     else:
-        cx, cy = _require(manifest, "field_center", where)
-        field = build_gaussian_field(config.width, config.height, v, (cx, cy))
+        center = _require(manifest, "field_center", where)
+        if not (isinstance(center, list) and len(center) == 2
+                and all(_is(c, int) for c in center)):
+            raise ValueError(f"{where} field_center must be two integers, got {center!r}")
+        field = build_gaussian_field(config.width, config.height, v, tuple(center))
     part = PlayerPartition.square_tiling(config.width, m)
     return config, field, part, manifest
 

@@ -144,6 +144,12 @@ _MEMO_ENTRIES = 256
 # recomputed on a relabel (read at each call), so every sign decision is that
 # of the relabeled masses.
 _CUT_GUARD = 1e-9
+# PlayerScorer.plant_gains prices a batch of at least this many cells in one
+# numpy pass and a smaller one cell by cell.  The pass costs about 60 us plus
+# 0.3 us a cell, the loop 3-3.5 us a cell: on 16x16, 32x32 and 64x64 grids the
+# two tie at 18-22 cells.  A visit prices about 5% of a player's cells, so a
+# 16x16 run's visits keep the loop and a 64x64, m = 1 run's (205 cells) do not.
+_ONE_PASS_MIN_CELLS = 20
 # Neighbor offsets in the order plant gains sum their masses; the first four
 # are the 4-connected ones.  Bit k of a ring mask is the cell at _OFFSETS[k].
 _OFFSETS = ((0, 1), (0, -1), (1, 0), (-1, 0), (1, 1), (1, -1), (-1, 1), (-1, -1))
@@ -179,6 +185,30 @@ def not_cut_table(connectivity: int) -> tuple:
         neigh = {labels[1 + dy, 1 + dx] for dy, dx in _OFFSETS[:connectivity]}
         table.append(len(neigh - {0}) <= 1)
     return tuple(table)
+
+
+@cache
+def _not_cut_mask(connectivity: int) -> np.ndarray:
+    """not_cut_table as a read-only bool array, to look up rings in bulk."""
+    mask = np.array(not_cut_table(connectivity))
+    mask.setflags(write=False)
+    return mask
+
+
+@cache
+def _neighbor_table(height: int, width: int) -> np.ndarray:
+    """(height * width, 8) flat indices of each cell's neighbors, in _OFFSETS
+    order.  An off-grid neighbor is height * width: a slot one past the grid
+    that the caller fills with an empty label.  Read-only."""
+    n = height * width
+    ys, xs = np.divmod(np.arange(n), width)
+    table = np.full((n, 8), n)
+    for k, (dy, dx) in enumerate(_OFFSETS):
+        ny, nx = ys + dy, xs + dx
+        on = (ny >= 0) & (ny < height) & (nx >= 0) & (nx < width)
+        table[on, k] = ny[on] * width + nx[on]
+    table.setflags(write=False)
+    return table
 
 
 class PlayerScorer:
@@ -241,9 +271,19 @@ class PlayerScorer:
         of 0, and every gain of a local cut cell, is read off a relabel of
         the bounding box of j's component with j cleared (_box_gain) instead;
         every gain's sign is then the one the relabeled masses give.
+
+        A batch of at least _ONE_PASS_MIN_CELLS cells is priced in one numpy
+        pass (_one_pass_gains), a smaller one cell by cell (_cell_gains); the
+        two give the same gains bit for bit.
         """
         entry = self.labeled(s)
-        labeling, box_gains = entry[0], entry[3]
+        if len(js) >= _ONE_PASS_MIN_CELLS:
+            return self._one_pass_gains(s, js, entry)
+        return self._cell_gains(s, js, entry)
+
+    def _cell_gains(self, s: np.ndarray, js, entry: list) -> np.ndarray:
+        """plant_gains, one cell at a time."""
+        labeling = entry[0]
         table = not_cut_table(self.connectivity)
         neighbor_bits = (1 << self.connectivity) - 1
         p_at = self.p.item
@@ -264,25 +304,70 @@ class PlayerScorer:
                 if abs(gain) > _CUT_GUARD:
                     gains[k] = gain
                     continue
-            gain = box_gains.get(j)
-            if gain is None:
-                gain = box_gains[j] = self._box_gain(labeling, y, x, p_j)
-            gains[k] = gain
+            gains[k] = self._box_gain(entry, j)
         return gains
 
-    def _box_gain(self, labeling, y: int, x: int, p_j: float) -> float:
-        """Plant gain of planted cell (y, x) off a labeling of its component's
-        bounding box with the cell cleared.  bincount sums each piece's mass
-        in the grid's raster order restricted to the box: a grid relabel's."""
-        lab = labeling.labels.item(y, x)
-        box = labeling.boxes[lab - 1]
-        y0, x0 = box[0].start, box[1].start
-        sub = labeling.labels[box] == lab
-        sub[y - y0, x - x0] = False
-        pieces = label_cells(sub, self.p[box], self.connectivity)
-        own = np.bincount(pieces.labels[self.owner[box] == self.i],
-                          minlength=pieces.n_components + 1)[1:]
-        return self._gain_next_to(pieces, own, y - y0, x - x0, p_j)
+    def _one_pass_gains(self, s: np.ndarray, js, entry: list) -> np.ndarray:
+        """plant_gains in one numpy pass.  Each cell's neighbor labels, in
+        _OFFSETS order with repeats zeroed, form the columns of _plant_gain's
+        arithmetic, which runs a column at a time in the loop's order; an
+        absent or repeated neighbor adds 0.0 to the mass and takes 0.0 off
+        the gain, so every gain equals _cell_gains' bit for bit."""
+        labeling = entry[0]
+        height, width = labeling.labels.shape
+        conn = self.connectivity
+        js = np.asarray(js)
+        g = self.rows[js] * width + self.cols[js]
+        labels = np.append(labeling.labels.ravel(), 0)
+        near = labels[_neighbor_table(height, width)[g]]
+        ring = np.packbits(near > 0, axis=1, bitorder="little")[:, 0]
+        near = near[:, :conn]
+        for k in range(1, conn):
+            near[(near[:, :k] == near[:, k, None]).any(axis=1), k] = 0
+        # A planted cell with a neighbor under the connectivity (less) has
+        # one column, its component less the cell's p and tree; one without
+        # has none.
+        planted = s[js] != 0
+        near[planted] = 0
+        less = planted & ((ring & ((1 << conn) - 1)) != 0)
+        near[less, 0] = labels[g[less]]
+        mass = np.append(0.0, labeling.masses)[near]
+        count = np.append(0, self.own_counts(entry))[near]
+        p = self.p.ravel()[g]
+        mass[:, 0] -= p * less
+        count[:, 0] -= less
+        total = np.zeros(len(g))
+        for k in range(conn):
+            total += mass[:, k]
+        merged = p + total
+        gains = 1.0 - merged - self.cost
+        for k in range(conn):
+            gains -= count[:, k] * (merged - mass[:, k])
+        box = planted & ~(_not_cut_mask(conn)[ring] & (np.abs(gains) > _CUT_GUARD))
+        for k in np.flatnonzero(box).tolist():
+            gains[k] = self._box_gain(entry, int(js[k]))
+        return gains
+
+    def _box_gain(self, entry: list, j: int) -> float:
+        """Plant gain of planted cell j off a labeling of its component's
+        bounding box with the cell cleared, memoized in entry.  bincount sums
+        each piece's mass in the grid's raster order restricted to the box: a
+        grid relabel's."""
+        box_gains = entry[3]
+        gain = box_gains.get(j)
+        if gain is None:
+            labeling, y, x = entry[0], self.ys[j], self.xs[j]
+            lab = labeling.labels.item(y, x)
+            box = labeling.boxes[lab - 1]
+            y0, x0 = box[0].start, box[1].start
+            sub = labeling.labels[box] == lab
+            sub[y - y0, x - x0] = False
+            pieces = label_cells(sub, self.p[box], self.connectivity)
+            own = np.bincount(pieces.labels[self.owner[box] == self.i],
+                              minlength=pieces.n_components + 1)[1:]
+            gain = box_gains[j] = self._gain_next_to(pieces, own, y - y0, x - x0,
+                                                     self.p.item(y, x))
+        return gain
 
     def _gain_next_to(self, labeling, own: np.ndarray, y: int, x: int, p_j: float) -> float:
         """_plant_gain of an empty cell (y, x) of labeling's array next to its
@@ -683,7 +768,9 @@ def is_nash(config: GridConfig, field, part: PlayerPartition, cost: float,
     reads it too, its component less the tree, and only removing a local cut
     cell, or a tree whose gain lies within _CUT_GUARD of 0, relabels the
     bounding box of the tree's component with that cell cleared.  The guard
-    keeps the sign of every gain that of the relabeled masses.  max_gain may
+    keeps the sign of every gain that of the relabeled masses.  A player's
+    flips are one plant_gains batch: one numpy pass for a player of at least
+    _ONE_PASS_MIN_CELLS cells, the cell loop for a smaller one.  max_gain may
     differ from a difference of two utilities by rounding; the witness is
     the first cell, row-major, that attains it.  cost must be finite and
     nonnegative.
@@ -699,7 +786,7 @@ def is_nash(config: GridConfig, field, part: PlayerPartition, cost: float,
         scorer = PlayerScorer(i, config.cells, field, part, cost, connectivity, labeling)
         s = config.cells[scorer.rows, scorer.cols]
         if scope == "single_flip":
-            planting = scorer.plant_gains(s, range(s.size))
+            planting = scorer.plant_gains(s, np.arange(s.size))
             flip_gains[scorer.rows, scorer.cols] = np.where(s, -planting, planting)
         elif s.size > 16:
             raise ValueError(

@@ -125,7 +125,7 @@ def test_verify_names_missing_manifest(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["verify", "fragility"])
-@pytest.mark.parametrize("cost", [float("nan"), float("inf"), -0.5])
+@pytest.mark.parametrize("cost", [float("nan"), float("inf"), -0.5, True, False])
 def test_run_dir_cost_must_be_finite_and_nonnegative(tmp_path, capsys, command, cost):
     (tmp_path / "grid.txt").write_text("0000\n0110\n0000\n0000\n")
     path = tmp_path / "metrics.json"
@@ -150,3 +150,24 @@ def test_run_dir_m_must_be_an_integer(tmp_path, capsys, command, m):
     err = json.loads(err)
     assert err["error"] == "ValueError"
     assert str(path) in err["message"] and f"got {m!r}" in err["message"]
+
+
+@pytest.mark.parametrize("command", ["verify", "fragility"])
+@pytest.mark.parametrize("field", [
+    {"field_v": "10", "field_center": [0, 0]},
+    {"field_v": True, "field_center": [0, 0]},
+    {"field_v": 10.0, "field_center": ["0", "0"]},
+    {"field_v": 10.0, "field_center": [0.5, 0]},
+    {"field_v": 10.0, "field_center": [True, 0]},
+    {"field_v": 10.0, "field_center": [0, 0, 0]},
+    {"field_v": 10.0, "field_center": None},
+])
+def test_run_dir_field_must_be_typed(tmp_path, capsys, command, field):
+    (tmp_path / "grid.txt").write_text("0000\n0110\n0000\n0000\n")
+    path = tmp_path / "metrics.json"
+    path.write_text(json.dumps({"manifest": {"m": 4, "cost": 0.0, **field}}))
+    assert main([command, "--run-dir", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    err = json.loads(err)
+    assert err["error"] == "ValueError" and str(path) in err["message"]

@@ -717,6 +717,63 @@ class TestBoxRelabel:
         assert calls == []
 
 
+class TestOnePassGains:
+    """A batch priced in one numpy pass gets the cell loop's gains, bit for
+    bit, and plant_gains takes the pass from _ONE_PASS_MIN_CELLS cells up."""
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(41)
+        for edge, m in ((8, 1), (8, 4), (16, 1)):
+            for connectivity in (4, 8):
+                for cost in (0.0, 0.3):
+                    for density in (0.4, 0.8):
+                        p = rng.random((edge, edge))
+                        cells = (rng.random((edge, edge)) < density).astype(np.uint8)
+                        yield (cells, LightningField(p / p.sum()),
+                               PlayerPartition.square_tiling(edge, m), connectivity, cost, rng)
+
+    @staticmethod
+    def batches(rows, cols, edge, rng):
+        """Every cell, the cells on the grid's boundary, and random batches
+        on both sides of the constant."""
+        n = rows.size
+        yield np.arange(n)
+        yield np.flatnonzero((rows == 0) | (rows == edge - 1) | (cols == 0) | (cols == edge - 1))
+        for size in (1, dynamics._ONE_PASS_MIN_CELLS - 1, dynamics._ONE_PASS_MIN_CELLS):
+            if size <= n:
+                yield np.sort(rng.choice(n, size, replace=False))
+
+    def test_one_pass_equals_cell_loop(self, monkeypatch):
+        for guard in (dynamics._CUT_GUARD, np.inf):
+            monkeypatch.setattr(dynamics, "_CUT_GUARD", guard)
+            for cells, field, part, connectivity, cost, rng in self.cases():
+                for i in range(part.m):
+                    rows, cols = part.player_cells(i)
+                    s = cells[rows, cols]
+                    for js in self.batches(rows, cols, cells.shape[0], rng):
+                        got = []
+                        # A scorer each, so neither path reads the other's box gains.
+                        for path in ("_cell_gains", "_one_pass_gains"):
+                            scorer = dynamics.PlayerScorer(i, cells, field, part, cost,
+                                                           connectivity)
+                            got.append(getattr(scorer, path)(s, js, scorer.labeled(s)))
+                        assert (got[0] == got[1]).all(), (part.m, connectivity, cost, guard, i)
+            monkeypatch.undo()
+
+    def test_batch_size_selects_the_path(self, monkeypatch):
+        taken = []
+        for path in ("_cell_gains", "_one_pass_gains"):
+            monkeypatch.setattr(dynamics.PlayerScorer, path,
+                                lambda self, s, js, entry, path=path: taken.append(path))
+        cells = np.ones((8, 8), dtype=np.uint8)
+        part = PlayerPartition.single(8, 8)
+        scorer = dynamics.PlayerScorer(0, cells, build_uniform_field(8, 8), part, 0.0)
+        for size in (1, dynamics._ONE_PASS_MIN_CELLS - 1, dynamics._ONE_PASS_MIN_CELLS, 64):
+            scorer.plant_gains(cells.ravel(), range(size))
+        assert taken == ["_cell_gains"] * 2 + ["_one_pass_gains"] * 2
+
+
 class TestBlockScorer:
     """The small-player visit kernel: utilities and one-cell gains off a
     frozen exterior, its exact fallbacks and its batched draws."""
