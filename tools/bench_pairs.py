@@ -43,12 +43,12 @@ def report(records: list, workload: str) -> None:
         if rec["workload"] == workload:
             pairs.setdefault(rec["pair"], {})[rec["side"]] = rec["result"]
     pairs = [p for p in pairs.values() if len(p) == 2]
-    if not pairs:
+    if len(pairs) < 2:
         return
     for name in pairs[0]["parent"]["metrics"]:
         base = [p["parent"]["metrics"][name]["value"] for p in pairs]
         new = [p["change"]["metrics"][name]["value"] for p in pairs]
-        q1, _, q3 = statistics.quantiles(base, n=4) if len(base) > 1 else base * 3
+        q1, _, q3 = statistics.quantiles(base, n=4)
         wins = sum(n < b for b, n in zip(base, new))
         print(f"{workload} {name}: parent {statistics.median(base):.4g} [{q1:.4g}, {q3:.4g}]"
               f" change {statistics.median(new):.4g}, change lower in {wins}/{len(pairs)}")
