@@ -54,6 +54,9 @@ def _load_run_dir(run_dir: str):
     m = manifest["m"]
     if not _is(m, int):
         raise ValueError(f"{where} m must be an integer, got {m!r}")
+    connectivity = manifest.get("connectivity", 4)
+    if not _is(connectivity, int) or connectivity not in (4, 8):
+        raise ValueError(f"{where} connectivity must be 4 or 8, got {connectivity!r}")
     v = manifest["field_v"]
     if v is None:
         field = build_uniform_field(config.width, config.height)
@@ -66,7 +69,7 @@ def _load_run_dir(run_dir: str):
             raise ValueError(f"{where} field_center must be two integers, got {center!r}")
         field = build_gaussian_field(config.width, config.height, v, tuple(center))
     part = PlayerPartition.square_tiling(config.width, m)
-    return config, field, part, manifest
+    return config, field, part, cost, connectivity
 
 
 def _cmd_run(args) -> int:
@@ -92,11 +95,9 @@ def _cmd_oned(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    config, field, part, manifest = _load_run_dir(args.run_dir)
-    check = is_nash(config, field, part, manifest["cost"], scope=args.scope,
-                    connectivity=manifest.get("connectivity", 4))
-    w = welfare(config, field, manifest["cost"],
-                connectivity=manifest.get("connectivity", 4))
+    config, field, part, cost, connectivity = _load_run_dir(args.run_dir)
+    check = is_nash(config, field, part, cost, scope=args.scope, connectivity=connectivity)
+    w = welfare(config, field, cost, connectivity=connectivity)
     record = {
         "run_dir": args.run_dir,
         "scope": args.scope,
@@ -110,10 +111,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_fragility(args) -> int:
-    config, field, part, manifest = _load_run_dir(args.run_dir)
+    config, field, _, cost, connectivity = _load_run_dir(args.run_dir)
     rng = np.random.Generator(np.random.PCG64(args.seed))
-    res = fragility_eval(config, field, manifest["cost"], args.trials, rng,
-                         manifest.get("connectivity", 4))
+    res = fragility_eval(config, field, cost, args.trials, rng, connectivity)
     print(json.dumps({
         "run_dir": args.run_dir,
         "trials": args.trials,

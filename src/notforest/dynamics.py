@@ -138,8 +138,6 @@ def choose_actions(n_cells: int, previous: np.ndarray | None,
     return previous
 
 
-# Labelings a PlayerScorer keeps (read at each lookup).
-_MEMO_ENTRIES = 256
 # Removal gains read off the labeling held that lie within this of 0 are
 # recomputed on a relabel (read at each call), so every sign decision is that
 # of the relabeled masses.
@@ -214,76 +212,73 @@ def _neighbor_table(height: int, width: int) -> np.ndarray:
 class PlayerScorer:
     """Exact utilities and one-cell gains of player i's strategies (0/1
     vectors over their cells, row-major) while the rest of base_cells stays
-    fixed.  A labeling then depends only on the strategy, and search paths
-    revisit the same few strategies, so labelings and utilities are memoized
-    per strategy; the store is emptied when it holds _MEMO_ENTRIES of them.
-    labeling, if given, is the caller's labeling of base_cells.
+    fixed.  It holds one labeling, with its own counts, utility and box
+    gains: labeling, the caller's labeling of base_cells, then that of the
+    strategy it last priced or scored.  Search paths mostly revisit that
+    strategy, so any other one is labeled afresh.
     """
 
     def __init__(self, i: int, base_cells: np.ndarray, field, part: PlayerPartition,
-                 cost: float, connectivity: int = 4, labeling=None) -> None:
+                 cost: float, connectivity: int, labeling) -> None:
         self.i, self.owner = i, part.owner
         self.rows, self.cols = part.player_cells(i)
         self.ys, self.xs = self.rows.tolist(), self.cols.tolist()
         self.p, self.cost, self.connectivity = field.p, cost, connectivity
         self.work = base_cells.copy()
-        self.memo: dict[bytes, list] = {}
-        if labeling is not None:
-            self.memo[base_cells[self.rows, self.cols].tobytes()] = [labeling, None, None, {}]
+        self._hold(base_cells[self.rows, self.cols], labeling)
 
-    def labeled(self, s: np.ndarray) -> list:
-        """[labeling, own counts or None, utility or None, box gains by cell] of s."""
-        key = s.tobytes()
-        entry = self.memo.get(key)
-        if entry is None:
-            if len(self.memo) >= _MEMO_ENTRIES:
-                self.memo.clear()
+    def _hold(self, s: np.ndarray, labeling) -> None:
+        self.key, self.labeling = s.tobytes(), labeling
+        self.counts = self.held_utility = None
+        self.box_gains: dict[int, float] = {}
+
+    def labeled(self, s: np.ndarray):
+        """The labeling of s, which the scorer then holds."""
+        if s.tobytes() != self.key:
             self.work[self.rows, self.cols] = s
-            entry = self.memo[key] = [label_cells(self.work, self.p, self.connectivity),
-                                      None, None, {}]
-        return entry
+            self._hold(s, label_cells(self.work, self.p, self.connectivity))
+        return self.labeling
 
-    def own_counts(self, entry: list) -> np.ndarray:
-        """The player's trees per component of entry's labeling, counted on
+    def own_counts(self) -> np.ndarray:
+        """The player's trees per component of the held labeling, counted on
         first read: only plant gains read them."""
-        if entry[1] is None:
-            labeling = entry[0]
-            entry[1] = np.bincount(labeling.labels[self.rows, self.cols],
-                                   minlength=labeling.n_components + 1)[1:]
-        return entry[1]
+        if self.counts is None:
+            self.counts = np.bincount(self.labeling.labels[self.rows, self.cols],
+                                      minlength=self.labeling.n_components + 1)[1:]
+        return self.counts
 
     def utility(self, s: np.ndarray) -> float:
-        entry = self.labeled(s)
-        if entry[2] is None:
-            entry[2] = cells_utility(entry[0], self.rows, self.cols, self.cost)
-        return entry[2]
+        labeling = self.labeled(s)
+        if self.held_utility is None:
+            self.held_utility = cells_utility(labeling, self.rows, self.cols, self.cost)
+        return self.held_utility
 
     def plant_gains(self, s: np.ndarray, js) -> np.ndarray:
         """For each of the player's cell indices j in js, the utility of s
         with cell j planted minus with it empty, the rest of s unchanged.
 
         Read off the components next to cell j when it is empty (_plant_gain).
-        For an empty cell they are those of the labeling of s, labeled once
-        per batch.  A planted cell that is not a local cut cell (its ring in
-        that labeling passes not_cut_table) leaves its component C as C minus
-        j: mass(C) - p_j, with one tree fewer of the player's.  Those masses
-        differ from a relabel's by rounding, so such a gain within _CUT_GUARD
-        of 0, and every gain of a local cut cell, is read off a relabel of
-        the bounding box of j's component with j cleared (_box_gain) instead;
-        every gain's sign is then the one the relabeled masses give.
+        For an empty cell they are those of the labeling of s, which the
+        scorer holds from then on.  A planted cell that is not a local cut
+        cell (its ring in that labeling passes not_cut_table) leaves its
+        component C as C minus j: mass(C) - p_j, with one tree fewer of the
+        player's.  Those masses differ from a relabel's by rounding, so such a
+        gain within _CUT_GUARD of 0, and every gain of a local cut cell, is
+        read off a relabel of the bounding box of j's component with j cleared
+        (_box_gain) instead; every gain's sign is then the relabeled masses'.
 
         A batch of at least _ONE_PASS_MIN_CELLS cells is priced in one numpy
         pass (_one_pass_gains), a smaller one cell by cell (_cell_gains); the
         two give the same gains bit for bit.
         """
-        entry = self.labeled(s)
+        self.labeled(s)
         if len(js) >= _ONE_PASS_MIN_CELLS:
-            return self._one_pass_gains(s, js, entry)
-        return self._cell_gains(s, js, entry)
+            return self._one_pass_gains(s, js)
+        return self._cell_gains(s, js)
 
-    def _cell_gains(self, s: np.ndarray, js, entry: list) -> np.ndarray:
-        """plant_gains, one cell at a time."""
-        labeling = entry[0]
+    def _cell_gains(self, s: np.ndarray, js) -> np.ndarray:
+        """plant_gains, one cell at a time, with s's labeling held."""
+        labeling = self.labeling
         table = not_cut_table(self.connectivity)
         neighbor_bits = (1 << self.connectivity) - 1
         p_at = self.p.item
@@ -292,28 +287,28 @@ class PlayerScorer:
             y, x = self.ys[j], self.xs[j]
             p_j = p_at(y, x)
             if not s[j]:
-                gains[k] = self._gain_next_to(labeling, self.own_counts(entry), y, x, p_j)
+                gains[k] = self._gain_next_to(labeling, self.own_counts(), y, x, p_j)
                 continue
             ring = _ring(labeling.labels, y, x)
             if table[ring]:
                 lab = labeling.labels.item(y, x) - 1
                 rest = ([(labeling.masses.item(lab) - p_j,
-                          self.own_counts(entry).item(lab) - 1)]
+                          self.own_counts().item(lab) - 1)]
                         if ring & neighbor_bits else [])
                 gain = _plant_gain(p_j, rest, self.cost)
                 if abs(gain) > _CUT_GUARD:
                     gains[k] = gain
                     continue
-            gains[k] = self._box_gain(entry, j)
+            gains[k] = self._box_gain(j)
         return gains
 
-    def _one_pass_gains(self, s: np.ndarray, js, entry: list) -> np.ndarray:
-        """plant_gains in one numpy pass.  Each cell's neighbor labels, in
-        _OFFSETS order with repeats zeroed, form the columns of _plant_gain's
-        arithmetic, which runs a column at a time in the loop's order; an
-        absent or repeated neighbor adds 0.0 to the mass and takes 0.0 off
-        the gain, so every gain equals _cell_gains' bit for bit."""
-        labeling = entry[0]
+    def _one_pass_gains(self, s: np.ndarray, js) -> np.ndarray:
+        """plant_gains in one numpy pass, with s's labeling held.  Each cell's
+        neighbor labels, in _OFFSETS order with repeats zeroed, form the
+        columns of _plant_gain's arithmetic, which runs a column at a time in
+        the loop's order; an absent or repeated neighbor adds 0.0 to the mass
+        and takes 0.0 off the gain, so every gain equals _cell_gains' exactly."""
+        labeling = self.labeling
         height, width = labeling.labels.shape
         conn = self.connectivity
         js = np.asarray(js)
@@ -332,7 +327,7 @@ class PlayerScorer:
         less = planted & ((ring & ((1 << conn) - 1)) != 0)
         near[less, 0] = labels[g[less]]
         mass = np.append(0.0, labeling.masses)[near]
-        count = np.append(0, self.own_counts(entry))[near]
+        count = np.append(0, self.own_counts())[near]
         p = self.p.ravel()[g]
         mass[:, 0] -= p * less
         count[:, 0] -= less
@@ -345,18 +340,17 @@ class PlayerScorer:
             gains -= count[:, k] * (merged - mass[:, k])
         box = planted & ~(_not_cut_mask(conn)[ring] & (np.abs(gains) > _CUT_GUARD))
         for k in np.flatnonzero(box).tolist():
-            gains[k] = self._box_gain(entry, int(js[k]))
+            gains[k] = self._box_gain(int(js[k]))
         return gains
 
-    def _box_gain(self, entry: list, j: int) -> float:
-        """Plant gain of planted cell j off a labeling of its component's
-        bounding box with the cell cleared, memoized in entry.  bincount sums
-        each piece's mass in the grid's raster order restricted to the box: a
-        grid relabel's."""
-        box_gains = entry[3]
-        gain = box_gains.get(j)
+    def _box_gain(self, j: int) -> float:
+        """Plant gain of planted cell j of the held strategy off a labeling of
+        its component's bounding box with the cell cleared, kept until the
+        scorer relabels.  bincount sums each piece's mass in the grid's raster
+        order restricted to the box: a grid relabel's."""
+        gain = self.box_gains.get(j)
         if gain is None:
-            labeling, y, x = entry[0], self.ys[j], self.xs[j]
+            labeling, y, x = self.labeling, self.ys[j], self.xs[j]
             lab = labeling.labels.item(y, x)
             box = labeling.boxes[lab - 1]
             y0, x0 = box[0].start, box[1].start
@@ -365,8 +359,8 @@ class PlayerScorer:
             pieces = label_cells(sub, self.p[box], self.connectivity)
             own = np.bincount(pieces.labels[self.owner[box] == self.i],
                               minlength=pieces.n_components + 1)[1:]
-            gain = box_gains[j] = self._gain_next_to(pieces, own, y - y0, x - x0,
-                                                     self.p.item(y, x))
+            gain = self.box_gains[j] = self._gain_next_to(pieces, own, y - y0, x - x0,
+                                                          self.p.item(y, x))
         return gain
 
     def _gain_next_to(self, labeling, own: np.ndarray, y: int, x: int, p_j: float) -> float:
@@ -444,10 +438,10 @@ class BlockScorer:
         self.start = sum(bit << j for j, bit in enumerate(base_cells[rows, cols].tolist()))
         # Masses to take off exterior components, by label.
         exterior, taken = labeling, {}
-        if self.start and len(ys) == 1 and labeling is not None and not_cut_table(
+        if self.start and len(ys) == 1 and not_cut_table(
                 connectivity)[_ring(labeling.labels, ys[0], xs[0])]:
             taken[labeling.labels.item(ys[0], xs[0])] = self.p[0]
-        elif self.start or labeling is None:
+        elif self.start:
             cleared = base_cells.copy()
             cleared[rows, cols] = 0
             exterior = label_cells(cleared, field.p, connectivity)
@@ -605,17 +599,18 @@ def _block_visit(i: int, base_cells: np.ndarray, field, part: PlayerPartition,
 
 def opt_sampled_fp(i: int, base_cells: np.ndarray, field, part: PlayerPartition,
                    cost: float, t_opt: int, rng: np.random.Generator,
-                   connectivity: int = 4, labeling=None) -> np.ndarray:
+                   connectivity: int, labeling) -> np.ndarray:
     """Approximate best response of player i to the rest of the grid.
 
     base_cells holds the current planting of every player; player i's cells
     there are the starting incumbent, scored at their exact utility, so the
     returned strategy never leaves player i worse off.  Each iteration selects
-    each cell with probability default_p_cell of the player's size.  labeling,
-    if given, is the labeling of base_cells, which the visit then does not
-    label again.  Returns player i's strategy as a 0/1 vector over their cells
-    in row-major order.  A player of at most _BLOCK_MAX_CELLS cells is visited
-    by _block_visit, which makes the same decisions from the same draws.
+    each cell with probability default_p_cell of the player's size.  labeling
+    is the caller's labeling of base_cells under connectivity, which the visit
+    reads instead of labeling base_cells again.  Returns player i's strategy
+    as a 0/1 vector over their cells in row-major order.  A player of at most
+    _BLOCK_MAX_CELLS cells is visited by _block_visit, which makes the same
+    decisions from the same draws.
     """
     if part.n_player_cells(i) <= _BLOCK_MAX_CELLS:
         return _block_visit(i, base_cells, field, part, cost, t_opt, rng, connectivity, labeling)

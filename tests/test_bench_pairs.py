@@ -1,0 +1,92 @@
+"""tools/bench_pairs.py: seed ranges and the report on synthetic pairs."""
+
+import importlib.util
+import os
+
+import pytest
+
+PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                    "tools", "bench_pairs.py")
+spec = importlib.util.spec_from_file_location("bench_pairs", PATH)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+BOUNDS = {"solve_s": (0.25, "lower"), "rate": (0.1, "higher")}
+
+
+def record(pair, side, solve_s, rate=1.0, workload="w"):
+    return {"workload": workload, "seed": pair, "pair": pair, "side": side,
+            "result": {"metrics": {"solve_s": {"value": solve_s, "unit": "s"},
+                                   "rate": {"value": rate, "unit": "1/s"}}}}
+
+
+def records(parent, change, **kwargs):
+    out = []
+    for pair, (b, n) in enumerate(zip(parent, change), 1):
+        out += [record(pair, "parent", b, **kwargs), record(pair, "change", n, **kwargs)]
+    return out
+
+
+def line(lines, name):
+    (found,) = [text for text in lines if text.startswith(f"w {name}:")]
+    return found
+
+
+def test_seeds():
+    assert bench_pairs.seeds("7") == [7]
+    assert bench_pairs.seeds("30-33") == [30, 31, 32, 33]
+
+
+def test_load_bounds_reads_the_benchmark():
+    bounds = bench_pairs.load_bounds()
+    assert bounds["solve_s"] == (0.25, "lower")
+    assert bounds["peak_rss_mb"] == (0.1, "lower")
+
+
+def test_pairs_missing_a_side_are_left_out():
+    # Pair 3 has no change run and another workload's pairs are ignored:
+    # one complete pair is too few to report.
+    recs = records([1.0], [0.9]) + [record(3, "parent", 5.0)]
+    recs += records([1.0, 1.0], [9.0, 9.0], workload="other")
+    assert bench_pairs.report(recs, "w", BOUNDS) == []
+    recs += [record(2, "parent", 1.1), record(2, "change", 1.0)]
+    assert "/2," in line(bench_pairs.report(recs, "w", BOUNDS), "solve_s")
+
+
+def test_wins_ties_and_a_gap_beyond_the_iqr():
+    recs = records([1.0, 1.01, 0.99, 1.0, 1.02], [0.5, 0.51, 0.49, 1.0, 0.5],
+                   rate=2.0)
+    lines = bench_pairs.report(recs, "w", BOUNDS)
+    solve = line(lines, "solve_s")
+    assert "change lower in 4/5, tied in 1" in solve
+    assert "exceeds the parent's IQR" in solve
+    assert solve.endswith("within the 0.25 bound (-50.0%)")
+    assert "change higher in 0/5, tied in 5" in line(lines, "rate")
+
+
+@pytest.mark.parametrize("parent, change, verdict", [
+    # 30% slower on a tight parent: worse beyond the bound.
+    ([1.0, 1.01, 0.99, 1.0], [1.3, 1.31, 1.29, 1.3], "worse beyond the 0.25 bound (+30.0%)"),
+    # 10% slower: within.
+    ([1.0, 1.01, 0.99, 1.0], [1.1, 1.11, 1.09, 1.1], "within the 0.25 bound (+10.0%)"),
+    # A parent spread wider than the bound, and one change run slower than
+    # a parent run: unresolved.
+    ([0.5, 1.0, 1.5, 2.0], [0.4, 0.9, 1.4, 1.9],
+     "unresolved: the parent's spread exceeds the 0.25 bound"),
+    # The same spread, but every change run beats every parent run.
+    ([0.5, 1.0, 1.5, 2.0], [0.1, 0.2, 0.3, 0.4], "within the 0.25 bound (-80.0%)"),
+])
+def test_verdict_against_the_bound(parent, change, verdict):
+    lines = bench_pairs.report(records(parent, change), "w", BOUNDS)
+    assert line(lines, "solve_s").endswith(verdict)
+
+
+def test_higher_is_better():
+    recs = records([1.0, 1.0, 1.0], [1.0, 1.0, 1.0])
+    recs[1]["result"]["metrics"]["rate"]["value"] = 0.8
+    assert line(bench_pairs.report(recs, "w", BOUNDS),
+                "rate").endswith("within the 0.1 bound (+0.0%)")
+    for rec in recs[1::2]:
+        rec["result"]["metrics"]["rate"]["value"] = 0.8
+    assert line(bench_pairs.report(recs, "w", BOUNDS),
+                "rate").endswith("worse beyond the 0.1 bound (+20.0%)")

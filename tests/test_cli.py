@@ -171,3 +171,31 @@ def test_run_dir_field_must_be_typed(tmp_path, capsys, command, field):
     assert out == ""
     err = json.loads(err)
     assert err["error"] == "ValueError" and str(path) in err["message"]
+
+
+@pytest.mark.parametrize("command", ["verify", "fragility"])
+@pytest.mark.parametrize("connectivity", [4.0, "4", True, 6])
+def test_run_dir_connectivity_must_be_4_or_8(tmp_path, capsys, command, connectivity):
+    (tmp_path / "grid.txt").write_text("0000\n0110\n0000\n0000\n")
+    path = tmp_path / "metrics.json"
+    path.write_text(json.dumps({"manifest": {"m": 4, "field_v": None, "cost": 0.0,
+                                             "connectivity": connectivity}}))
+    assert main([command, "--run-dir", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    err = json.loads(err)
+    assert err["error"] == "ValueError"
+    assert str(path) in err["message"] and f"got {connectivity!r}" in err["message"]
+
+
+def test_run_dir_connectivity_defaults_to_4(tmp_path, capsys):
+    # A diagonal pair is one component under 8-connectivity and two under 4.
+    (tmp_path / "grid.txt").write_text("0000\n0100\n0010\n0000\n")
+    path = tmp_path / "metrics.json"
+    records = []
+    for manifest in ({}, {"connectivity": 4}, {"connectivity": 8}):
+        path.write_text(json.dumps({"manifest": {"m": 4, "field_v": None, "cost": 0.0,
+                                                 **manifest}}))
+        assert main(["verify", "--run-dir", str(tmp_path)]) in (0, 1)
+        records.append(json.loads(capsys.readouterr().out)["welfare"])
+    assert records[0] == records[1] != records[2]

@@ -103,11 +103,12 @@ class TestOptSampledFP:
         field = build_uniform_field(3, 3)
         part = PlayerPartition.per_cell(3, 3)
         base = np.zeros((3, 3), dtype=np.uint8)
+        labeling = label_cells(base, field.p, 4)
         rng = np.random.default_rng(0)
-        out = opt_sampled_fp(4, base, field, part, 0.0, t_opt=5, rng=rng)
+        out = opt_sampled_fp(4, base, field, part, 0.0, 5, rng, 4, labeling)
         assert out.tolist() == [1]
         rng = np.random.default_rng(0)
-        out = opt_sampled_fp(4, base, field, part, 0.95, t_opt=5, rng=rng)
+        out = opt_sampled_fp(4, base, field, part, 0.95, 5, rng, 4, labeling)
         assert out.tolist() == [0]
 
     def test_one_d_line_near_closed_form(self):
@@ -123,7 +124,8 @@ class TestOptSampledFP:
         part = PlayerPartition.single(4, 4)
         base = np.zeros((4, 4), dtype=np.uint8)
         rng = np.random.default_rng(0)
-        s = opt_sampled_fp(0, base, field, part, 0.0, t_opt=300, rng=rng)
+        s = opt_sampled_fp(0, base, field, part, 0.0, 300, rng, 4,
+                           label_cells(base, field.p, 4))
         rows, cols = part.player_cells(0)
         cells = np.zeros((4, 4), dtype=np.uint8)
         cells[rows, cols] = s
@@ -161,9 +163,10 @@ class TestOptSampledFP:
         u_now = player_utility(GridConfig(base), field, part, 0, 0.0)
         assert u_now == 14.0
         rows, cols = part.player_cells(0)
+        labeling = label_cells(base, field.p, 4)
         for seed in range(5):
-            s = opt_sampled_fp(0, base, field, part, 0.0, t_opt=10,
-                               rng=np.random.default_rng(seed))
+            s = opt_sampled_fp(0, base, field, part, 0.0, 10, np.random.default_rng(seed),
+                               4, labeling)
             trial = base.copy()
             trial[rows, cols] = s
             assert player_utility(GridConfig(trial), field, part, 0, 0.0) >= u_now
@@ -175,12 +178,13 @@ class TestOptSampledFP:
         # calls draw.
         field = build_gaussian_field(8, 8, 10.0)
         base = (np.random.default_rng(0).random((8, 8)) < 0.5).astype(np.uint8)
+        labeling = label_cells(base, field.p, 4)
         t_opt = 7
         for part in (PlayerPartition.per_cell(8, 8), PlayerPartition.square_tiling(8, 4),
                      PlayerPartition.square_tiling(8, 1)):
             n = part.n_player_cells(0)
             rng = np.random.default_rng(4)
-            opt_sampled_fp(0, base, field, part, 0.0, t_opt=t_opt, rng=rng)
+            opt_sampled_fp(0, base, field, part, 0.0, t_opt, rng, 4, labeling)
             fresh = np.random.default_rng(4)
             fresh.random(n)
             fresh.integers(0, 2, size=n, dtype=np.uint8)
@@ -239,18 +243,6 @@ class TestBestResponseDynamics:
         assert a.config == b.config
         assert a.welfare_trajectory == b.welfare_trajectory
         assert np.array_equal(a.player_utilities, b.player_utilities)
-        assert a.trace == b.trace
-
-    def test_labeling_memo_does_not_change_runs(self, monkeypatch):
-        # A one-entry memo relabels almost every strategy; the run must be
-        # bit-identical to one that reuses memoized labelings.
-        field = build_gaussian_field(16, 16, 10.0)
-        part = PlayerPartition.square_tiling(16, 16)
-        params = DynamicsParams(seed=2, t_br=3)
-        a = best_response_dynamics(field, part, 0.0, params)
-        monkeypatch.setattr(dynamics, "_MEMO_ENTRIES", 1)
-        b = best_response_dynamics(field, part, 0.0, params)
-        assert a.config == b.config
         assert a.trace == b.trace
 
     def test_cut_test_does_not_change_runs(self, monkeypatch):
@@ -512,7 +504,7 @@ class TestLabelingCounts:
     def test_visit_reuses_callers_labeling(self, monkeypatch):
         # A 16-cell player's visit scores every strategy against the grid
         # with its cells cleared: one labeling, none when those cells are
-        # already empty and the caller's labeling is given.
+        # already empty, since the caller's labeling is then the exterior's.
         field = build_gaussian_field(8, 8, 10.0)
         part = PlayerPartition.square_tiling(8, 4)
         base = (np.random.default_rng(0).random((8, 8)) < 0.5).astype(np.uint8)
@@ -520,16 +512,12 @@ class TestLabelingCounts:
         empty = base.copy()
         empty[rows, cols] = 0
         calls = self.count_labelings(monkeypatch)
-        for cells, want in ((base, [1, 1]), (empty, [1, 0])):
+        for cells, want in ((base, 1), (empty, 0)):
             labeling = label_cells(cells, field.p, 4)
-            outs, counts = [], []
-            for seeded in (None, labeling):
-                before = len(calls)
-                outs.append(opt_sampled_fp(1, cells, field, part, 0.0, t_opt=20,
-                                           rng=np.random.default_rng(3), labeling=seeded))
-                counts.append(len(calls) - before)
-            assert np.array_equal(outs[0], outs[1])
-            assert counts == want
+            before = len(calls)
+            opt_sampled_fp(1, cells, field, part, 0.0, 20, np.random.default_rng(3), 4,
+                           labeling)
+            assert len(calls) - before == want
 
 
 class TestFlipGainOracle:
@@ -570,14 +558,13 @@ class TestFlipGainOracle:
             for i in range(part.m):
                 rows, cols = part.player_cells(i)
                 s = cells[rows, cols]
-                for seeded in (None, labeling):
-                    scorer = dynamics.PlayerScorer(i, cells, field, part, cost,
-                                                   connectivity, seeded)
-                    gains = scorer.plant_gains(s, range(s.size))
-                    for j, gain in enumerate(gains):
-                        g = int(rows[j]) * cells.shape[1] + int(cols[j])
-                        want = self.brute_gain(cells, field, part, g, cost, connectivity)
-                        assert abs(gain - want) <= 1e-12, (part.m, connectivity, cost, g)
+                scorer = dynamics.PlayerScorer(i, cells, field, part, cost, connectivity,
+                                               labeling)
+                gains = scorer.plant_gains(s, range(s.size))
+                for j, gain in enumerate(gains):
+                    g = int(rows[j]) * cells.shape[1] + int(cols[j])
+                    want = self.brute_gain(cells, field, part, g, cost, connectivity)
+                    assert abs(gain - want) <= 1e-12, (part.m, connectivity, cost, g)
 
     def test_is_nash_max_gain_is_largest_flip_gain(self):
         for cells, field, part, connectivity, cost in self.cases():
@@ -674,13 +661,15 @@ class TestBoxRelabel:
             rows, cols = part.player_cells(i)
             s = cells[rows, cols]
             j = int(np.flatnonzero((rows == y) & (cols == x))[0])
+            labeling = label_cells(cells, field.p, connectivity)
             # An infinite guard sends the isolated tree, which is no local
             # cut cell, through the box relabel too.
             for guard in (dynamics._CUT_GUARD, np.inf):
                 monkeypatch.setattr(dynamics, "_CUT_GUARD", guard)
                 for cost in (0.0, 0.3):
                     want = self.reference_gain(cells, field, part, y, x, cost, connectivity)
-                    scorer = dynamics.PlayerScorer(i, cells, field, part, cost, connectivity)
+                    scorer = dynamics.PlayerScorer(i, cells, field, part, cost, connectivity,
+                                                   labeling)
                     assert scorer.plant_gains(s, [j])[0] == want, (name, connectivity, cost)
                 monkeypatch.undo()
 
@@ -702,19 +691,81 @@ class TestBoxRelabel:
                     assert gains[j] == want, (part.m, connectivity, cost, j)
 
     def test_box_gains_are_memoized_per_strategy(self, monkeypatch):
-        # A strategy priced again reads its removal gains off the memo.
+        # The strategy held, priced again, reads its removal gains off the
+        # scorer; the caller's labeling is that strategy's.
         _, cells, part, _, _, connectivity = next(self.cases())
         field = build_uniform_field(*cells.shape)
-        scorer = dynamics.PlayerScorer(0, cells, field, part, 0.0, connectivity)
+        scorer = dynamics.PlayerScorer(0, cells, field, part, 0.0, connectivity,
+                                       label_cells(cells, field.p, connectivity))
         s = cells.ravel()
         calls = TestLabelingCounts.count_labelings(monkeypatch)
         first = scorer.plant_gains(s, range(s.size))
-        assert len(calls) == 1 + sum(
+        assert len(calls) == sum(
             not dynamics.not_cut_table(connectivity)[ring_of(cells, *divmod(g, cells.shape[1]))]
             for g in np.flatnonzero(s))
         calls.clear()
         assert np.array_equal(scorer.plant_gains(s, range(s.size)), first)
         assert calls == []
+
+
+class TestHeldLabeling:
+    """A PlayerScorer holds one labeling: the caller's, then that of the
+    strategy it last priced or scored."""
+
+    def test_revisits_equal_a_fresh_scorer(self):
+        # Strategies A, B, A, C, B on one scorer, A the base strategy: every
+        # revisit relabels, and its gains and utility must equal those of a
+        # fresh scorer for that strategy.  The 64-cell player prices its
+        # batches in one pass, the 16-cell players cell by cell.
+        rng = np.random.default_rng(31)
+        for part in (PlayerPartition.single(8, 8), PlayerPartition.square_tiling(8, 4)):
+            for connectivity in (4, 8):
+                for cost in (0.0, 0.3):
+                    p = rng.random((8, 8))
+                    field = LightningField(p / p.sum())
+                    cells = (rng.random((8, 8)) < 0.6).astype(np.uint8)
+                    labeling = label_cells(cells, field.p, connectivity)
+                    for i in range(part.m):
+                        rows, cols = part.player_cells(i)
+                        a = cells[rows, cols]
+                        b, c = ((rng.random(a.size) < 0.6).astype(np.uint8) for _ in range(2))
+                        args = (i, cells, field, part, cost, connectivity, labeling)
+                        scorer = dynamics.PlayerScorer(*args)
+                        for k, s in enumerate((a, b, a, c, b)):
+                            fresh = dynamics.PlayerScorer(*args)
+                            want = (fresh.plant_gains(s, range(s.size)), fresh.utility(s))
+                            # Score first on every other visit, price first on the rest.
+                            if k % 2:
+                                util = scorer.utility(s)
+                                gains = scorer.plant_gains(s, range(s.size))
+                            else:
+                                gains = scorer.plant_gains(s, range(s.size))
+                                util = scorer.utility(s)
+                            assert (gains == want[0]).all(), (part.m, connectivity, cost, i, k)
+                            assert util == want[1], (part.m, connectivity, cost, i, k)
+
+    def test_relabels_only_a_new_strategy(self, monkeypatch):
+        # Empty cells are priced off the held labeling alone, so every
+        # labeling counted is one of a whole strategy.
+        field = build_gaussian_field(8, 8, 10.0)
+        part = PlayerPartition.single(8, 8)
+        rng = np.random.default_rng(2)
+        base, s, t = ((rng.random((8, 8)) < 0.5).astype(np.uint8).ravel() for _ in range(3))
+        scorer = dynamics.PlayerScorer(0, base.reshape(8, 8), field, part, 0.0, 4,
+                                       label_cells(base.reshape(8, 8), field.p, 4))
+        calls = TestLabelingCounts.count_labelings(monkeypatch)
+
+        def price(strategy):
+            scorer.plant_gains(strategy, np.flatnonzero(strategy == 0))
+
+        price(base)
+        assert calls == []
+        for strategy in (s, t, s):
+            price(strategy)
+        assert len(calls) == 3
+        price(s)
+        scorer.utility(s)
+        assert len(calls) == 3
 
 
 class TestOnePassGains:
@@ -748,16 +799,18 @@ class TestOnePassGains:
         for guard in (dynamics._CUT_GUARD, np.inf):
             monkeypatch.setattr(dynamics, "_CUT_GUARD", guard)
             for cells, field, part, connectivity, cost, rng in self.cases():
+                labeling = label_cells(cells, field.p, connectivity)
                 for i in range(part.m):
                     rows, cols = part.player_cells(i)
                     s = cells[rows, cols]
                     for js in self.batches(rows, cols, cells.shape[0], rng):
                         got = []
-                        # A scorer each, so neither path reads the other's box gains.
+                        # A scorer each, so neither path reads the other's box
+                        # gains; each holds the caller's labeling, that of s.
                         for path in ("_cell_gains", "_one_pass_gains"):
                             scorer = dynamics.PlayerScorer(i, cells, field, part, cost,
-                                                           connectivity)
-                            got.append(getattr(scorer, path)(s, js, scorer.labeled(s)))
+                                                           connectivity, labeling)
+                            got.append(getattr(scorer, path)(s, js))
                         assert (got[0] == got[1]).all(), (part.m, connectivity, cost, guard, i)
             monkeypatch.undo()
 
@@ -765,10 +818,12 @@ class TestOnePassGains:
         taken = []
         for path in ("_cell_gains", "_one_pass_gains"):
             monkeypatch.setattr(dynamics.PlayerScorer, path,
-                                lambda self, s, js, entry, path=path: taken.append(path))
+                                lambda self, s, js, path=path: taken.append(path))
         cells = np.ones((8, 8), dtype=np.uint8)
+        field = build_uniform_field(8, 8)
         part = PlayerPartition.single(8, 8)
-        scorer = dynamics.PlayerScorer(0, cells, build_uniform_field(8, 8), part, 0.0)
+        scorer = dynamics.PlayerScorer(0, cells, field, part, 0.0, 4,
+                                       label_cells(cells, field.p, 4))
         for size in (1, dynamics._ONE_PASS_MIN_CELLS - 1, dynamics._ONE_PASS_MIN_CELLS, 64):
             scorer.plant_gains(cells.ravel(), range(size))
         assert taken == ["_cell_gains"] * 2 + ["_one_pass_gains"] * 2
@@ -824,21 +879,20 @@ class TestBlockScorer:
                 rows, cols = part.player_cells(i)
                 current = cells[rows, cols]
                 others = [current] + [(rng.random(n) < 0.5).astype(np.uint8) for _ in range(2)]
-                for seeded in (None, labeling):
-                    scorer = dynamics.BlockScorer(i, cells, field, part, cost,
-                                                  connectivity, seeded)
-                    assert np.array_equal(scorer.strategy(scorer.start), current)
-                    for s in others:
-                        grid = self.with_strategy(cells, part, i, s)
-                        mask = sum(int(bit) << j for j, bit in enumerate(s))
-                        want = brute_force_player_utility(grid, field.p, part.owner, i, cost,
-                                                          connectivity)
-                        assert abs(scorer.utility(mask) - want) <= 1e-12, (part.m, i)
-                        for j in range(n):
-                            g = int(rows[j]) * cells.shape[1] + int(cols[j])
-                            gain = TestFlipGainOracle.brute_gain(grid, field, part, g, cost,
-                                                                 connectivity)
-                            assert abs(scorer.plant_gain(mask, j) - gain) <= 1e-12, (i, j)
+                scorer = dynamics.BlockScorer(i, cells, field, part, cost, connectivity,
+                                              labeling)
+                assert np.array_equal(scorer.strategy(scorer.start), current)
+                for s in others:
+                    grid = self.with_strategy(cells, part, i, s)
+                    mask = sum(int(bit) << j for j, bit in enumerate(s))
+                    want = brute_force_player_utility(grid, field.p, part.owner, i, cost,
+                                                      connectivity)
+                    assert abs(scorer.utility(mask) - want) <= 1e-12, (part.m, i)
+                    for j in range(n):
+                        g = int(rows[j]) * cells.shape[1] + int(cols[j])
+                        gain = TestFlipGainOracle.brute_gain(grid, field, part, g, cost,
+                                                             connectivity)
+                        assert abs(scorer.plant_gain(mask, j) - gain) <= 1e-12, (i, j)
 
     def test_exact_fallback_does_not_change_runs(self, monkeypatch):
         # With an infinite guard every gain and every utility comparison of
@@ -918,10 +972,11 @@ class TestBlockScorer:
             base = (np.random.default_rng(0).random((edge, edge)) < 0.5).astype(np.uint8)
             n = part.n_player_cells(2)
             assert (n <= dynamics._BLOCK_MAX_CELLS) == (case == "block_16_cells")
+            labeling = label_cells(base, field.p, 4)
 
             def run(k):
                 rng = self.ZeroAt(6, k)
-                s = opt_sampled_fp(2, base, field, part, 0.0, t_opt=t_opt, rng=rng)
+                s = opt_sampled_fp(2, base, field, part, 0.0, t_opt, rng, 4, labeling)
                 return s.tolist(), rng.gen.bit_generator.state
 
             plain, plain_state = run(-1)

@@ -9,7 +9,10 @@ seed, the parent first in even pairs and this checkout first in odd ones, so
 a drift of the machine's speed falls on both sides alike.  Every run's last
 line is appended to --out (a JSON list, made if missing) with its workload,
 seed, pair and side.  Then, per end-to-end metric, it prints the parent's
-median and quartiles, this checkout's median and the pairs this checkout won.
+median and quartiles, this checkout's median, the pairs this checkout won
+and tied, whether the gap between the medians exceeds the parent's
+interquartile range, and a verdict against the metric's bound and direction
+in BENCHMARK.json (see verdict).
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BENCHMARK = os.path.join(ROOT, "BENCHMARK.json")
 
 
 def seeds(text: str) -> list:
@@ -37,21 +41,58 @@ def run(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(out.strip().splitlines()[-1])
 
 
-def report(records: list, workload: str) -> None:
+def load_bounds() -> dict:
+    """(bound, better) of each end-to-end metric of BENCHMARK.json, by name."""
+    with open(BENCHMARK) as fh:
+        return {m["name"]: (m["bound"], m["better"]) for m in json.load(fh)["end_to_end"]}
+
+
+def verdict(base: list, new: list, bound: float, better: str) -> str:
+    """Whether new's median is worse than base's by more than bound, a share
+    of base's median; "unresolved" when base's interquartile range is a
+    larger share than the bound and not every new run beats every base run."""
+    q1, _, q3 = statistics.quantiles(base, n=4)
+    median, new_median = statistics.median(base), statistics.median(new)
+    worse = (new_median - median) / median
+    beats_all = max(new) < min(base)
+    if better != "lower":
+        worse, beats_all = (median - new_median) / median, min(new) > max(base)
+    if worse > bound:
+        return f"worse beyond the {bound:g} bound ({worse:+.1%})"
+    if (q3 - q1) / median > bound and not beats_all:
+        return f"unresolved: the parent's spread exceeds the {bound:g} bound"
+    return f"within the {bound:g} bound ({worse:+.1%})"
+
+
+def report(records: list, workload: str, bounds: dict) -> list:
+    """One line per metric of workload's pairs that have both sides, none
+    when there are fewer than two such pairs: the parent's median and
+    quartiles, this checkout's median, the pairs it won and tied, whether the
+    gap between the medians exceeds the parent's interquartile range, and
+    the verdict against the metric's (bound, better) in bounds."""
     pairs: dict = {}
     for rec in records:
         if rec["workload"] == workload:
             pairs.setdefault(rec["pair"], {})[rec["side"]] = rec["result"]
     pairs = [p for p in pairs.values() if len(p) == 2]
     if len(pairs) < 2:
-        return
+        return []
+    lines = []
     for name in pairs[0]["parent"]["metrics"]:
         base = [p["parent"]["metrics"][name]["value"] for p in pairs]
         new = [p["change"]["metrics"][name]["value"] for p in pairs]
+        bound, better = bounds[name]
         q1, _, q3 = statistics.quantiles(base, n=4)
-        wins = sum(n < b for b, n in zip(base, new))
-        print(f"{workload} {name}: parent {statistics.median(base):.4g} [{q1:.4g}, {q3:.4g}]"
-              f" change {statistics.median(new):.4g}, change lower in {wins}/{len(pairs)}")
+        gap = abs(statistics.median(new) - statistics.median(base))
+        wins = sum(n < b if better == "lower" else n > b for b, n in zip(base, new))
+        ties = sum(n == b for b, n in zip(base, new))
+        lines.append(
+            f"{workload} {name}: parent {statistics.median(base):.4g} [{q1:.4g}, {q3:.4g}]"
+            f" change {statistics.median(new):.4g}, change {better} in {wins}/{len(pairs)},"
+            f" tied in {ties}; median gap {gap:.4g}"
+            f" {'exceeds' if gap > q3 - q1 else 'within'} the parent's IQR {q3 - q1:.4g}; "
+            + verdict(base, new, bound, better))
+    return lines
 
 
 def main() -> None:
@@ -77,7 +118,8 @@ def main() -> None:
                 json.dump(records, fh, indent=1)
                 fh.write("\n")
         pair += 1
-    report(records, args.workload)
+    for line in report(records, args.workload, load_bounds()):
+        print(line)
 
 
 if __name__ == "__main__":
