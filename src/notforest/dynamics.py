@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as _field
 from functools import cache
-from itertools import product
 
 import numpy as np
 
@@ -212,10 +211,10 @@ def _neighbor_table(height: int, width: int) -> np.ndarray:
 class PlayerScorer:
     """Exact utilities and one-cell gains of player i's strategies (0/1
     vectors over their cells, row-major) while the rest of base_cells stays
-    fixed.  It holds one labeling, with its own counts, utility and box
-    gains: labeling, the caller's labeling of base_cells, then that of the
-    strategy it last priced or scored.  Search paths mostly revisit that
-    strategy, so any other one is labeled afresh.
+    fixed.  It holds one labeling, with its own counts and box gains: the
+    caller's labeling of base_cells, then that of the strategy it last priced
+    or scored, which search paths mostly revisit.  Utilities are kept per
+    strategy, by its bytes, past a relabel: scoring one again labels nothing.
     """
 
     def __init__(self, i: int, base_cells: np.ndarray, field, part: PlayerPartition,
@@ -225,11 +224,12 @@ class PlayerScorer:
         self.ys, self.xs = self.rows.tolist(), self.cols.tolist()
         self.p, self.cost, self.connectivity = field.p, cost, connectivity
         self.work = base_cells.copy()
+        self.utilities: dict[bytes, float] = {}
         self._hold(base_cells[self.rows, self.cols], labeling)
 
     def _hold(self, s: np.ndarray, labeling) -> None:
         self.key, self.labeling = s.tobytes(), labeling
-        self.counts = self.held_utility = None
+        self.counts = None
         self.box_gains: dict[int, float] = {}
 
     def labeled(self, s: np.ndarray):
@@ -248,10 +248,10 @@ class PlayerScorer:
         return self.counts
 
     def utility(self, s: np.ndarray) -> float:
-        labeling = self.labeled(s)
-        if self.held_utility is None:
-            self.held_utility = cells_utility(labeling, self.rows, self.cols, self.cost)
-        return self.held_utility
+        key = s.tobytes()
+        if key not in self.utilities:
+            self.utilities[key] = cells_utility(self.labeled(s), self.rows, self.cols, self.cost)
+        return self.utilities[key]
 
     def plant_gains(self, s: np.ndarray, js) -> np.ndarray:
         """For each of the player's cell indices j in js, the utility of s
@@ -754,48 +754,58 @@ def is_nash(config: GridConfig, field, part: PlayerPartition, cost: float,
     """Check whether any in-scope unilateral deviation improves some
     player's utility by more than NASH_TOL.
 
-    scope "single_flip" tries every one-cell change; "exhaustive" tries every
-    strategy of every player and is refused for players with more than 16
-    cells.  Both score through one PlayerScorer per player, seeded with the
-    labeling of the base grid.  A flip is priced by the local plant gain on
-    the labeling with the cell empty (negated for removing a tree): planting
-    reads the base labeling; removing a tree that is not a local cut cell
-    reads it too, its component less the tree, and only removing a local cut
-    cell, or a tree whose gain lies within _CUT_GUARD of 0, relabels the
-    bounding box of the tree's component with that cell cleared.  The guard
-    keeps the sign of every gain that of the relabeled masses.  A player's
-    flips are one plant_gains batch: one numpy pass for a player of at least
-    _ONE_PASS_MIN_CELLS cells, the cell loop for a smaller one.  max_gain may
-    differ from a difference of two utilities by rounding; the witness is
-    the first cell, row-major, that attains it.  cost must be finite and
-    nonnegative.
+    scope "single_flip" tries every one-cell change through one PlayerScorer
+    per player, seeded with the labeling of the base grid.  A flip is priced
+    by the local plant gain on the labeling with the cell empty (negated for
+    removing a tree): planting reads the base labeling; removing a tree that
+    is not a local cut cell reads it too, its component less the tree, and
+    only removing a local cut cell, or a tree whose gain lies within
+    _CUT_GUARD of 0, relabels the bounding box of the tree's component with
+    that cell cleared.  The guard keeps the sign of every gain that of the
+    relabeled masses.  A player's flips are one plant_gains batch: one numpy
+    pass for a player of at least _ONE_PASS_MIN_CELLS cells, the cell loop
+    for a smaller one.  max_gain may differ from a difference of two
+    utilities by rounding; the witness is the first cell, row-major, that
+    attains it.  "exhaustive" tries every strategy of every player, refused
+    for players with more than 16 cells, through one BlockScorer per player
+    in product((0, 1), repeat=n) order; BlockScorer.improves keeps the first
+    best, whose exact utility less the player's is its gain and whose bits
+    are the witness.  cost must be finite and nonnegative.
     """
     part.check_dims(config.width, config.height)
     check_cost(cost)
     if scope not in ("single_flip", "exhaustive"):
         raise ValueError(f"unknown deviation scope {scope!r}")
     labeling = label_components(config, field, connectivity)
-    flip_gains = np.empty((config.height, config.width))
-    max_gain, witness = -np.inf, None
-    for i in range(part.m):
-        scorer = PlayerScorer(i, config.cells, field, part, cost, connectivity, labeling)
-        s = config.cells[scorer.rows, scorer.cols]
-        if scope == "single_flip":
+    if scope == "single_flip":
+        flip_gains = np.empty((config.height, config.width))
+        for i in range(part.m):
+            scorer = PlayerScorer(i, config.cells, field, part, cost, connectivity, labeling)
+            s = config.cells[scorer.rows, scorer.cols]
             planting = scorer.plant_gains(s, np.arange(s.size))
             flip_gains[scorer.rows, scorer.cols] = np.where(s, -planting, planting)
-        elif s.size > 16:
-            raise ValueError(
-                f"exhaustive deviation scan refused for player with {s.size} > 16 cells")
-        else:
-            base = player_utility(config, field, part, i, cost, labeling)
-            for bits in product((0, 1), repeat=s.size):
-                gain = scorer.utility(np.array(bits, dtype=np.uint8)) - base
-                if gain > max_gain:
-                    max_gain, witness = gain, (i, bits)
-    profitable = None
-    if scope == "single_flip":
         g = int(np.argmax(flip_gains))
-        max_gain, witness = float(flip_gains.flat[g]), (int(part.owner.flat[g]), ("flip", g))
-        profitable = int((flip_gains > NASH_TOL).sum())
-    return NashCheck(is_nash=max_gain <= NASH_TOL, max_gain=float(max_gain), witness=witness,
-                     profitable_flips=profitable)
+        max_gain = float(flip_gains.flat[g])
+        return NashCheck(max_gain <= NASH_TOL, max_gain, (int(part.owner.flat[g]), ("flip", g)),
+                         int((flip_gains > NASH_TOL).sum()))
+    max_gain, witness = -np.inf, None
+    for i in range(part.m):
+        n_i = part.n_player_cells(i)
+        if n_i > 16:
+            raise ValueError(
+                f"exhaustive deviation scan refused for player with {n_i} > 16 cells")
+        scorer = BlockScorer(i, config.cells, field, part, cost, connectivity, labeling)
+        # The masks in product order: each earlier cell varies slower.
+        order = [0]
+        for j in reversed(range(n_i)):
+            order += [t | 1 << j for t in order]
+        best = 0
+        for t in order[1:]:
+            if scorer.improves(t, best):
+                best = t
+        bits = scorer.strategy(best)
+        gain = (scorer.exact().utility(bits)
+                - player_utility(config, field, part, i, cost, labeling))
+        if gain > max_gain:
+            max_gain, witness = gain, (i, tuple(bits.tolist()))
+    return NashCheck(max_gain <= NASH_TOL, float(max_gain), witness)

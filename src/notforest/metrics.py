@@ -51,12 +51,9 @@ def cascade_distribution(config: GridConfig, field: LightningField,
     if labeling.n_components == 0:
         return CascadeDistribution(np.array([], dtype=np.int64), np.array([]),
                                    np.array([]), zero_mass)
-    order = np.argsort(labeling.sizes, kind="stable")
-    sizes = labeling.sizes[order]
-    masses = labeling.masses[order]
-    support, inverse = np.unique(sizes, return_inverse=True)
-    pmf = np.zeros(len(support))
-    np.add.at(pmf, inverse, masses)
+    # bincount sums each size's masses in label order.
+    support, inverse = np.unique(labeling.sizes, return_inverse=True)
+    pmf = np.bincount(inverse, weights=labeling.masses)
     ccdf = np.cumsum(pmf[::-1])[::-1]
     return CascadeDistribution(support, pmf, ccdf, zero_mass)
 

@@ -46,8 +46,8 @@ def optimal_k(n: int, c: float) -> float:
 
 
 def optimal_density(n: int, c: float) -> float:
-    root = math.sqrt(n * (1.0 - c) + 1.0)
     _check_domain(n, c)
+    root = math.sqrt(n * (1.0 - c) + 1.0)
     return (root - 1.0) / root
 
 
@@ -95,9 +95,7 @@ def equilibrium_k_bounds(n: int, c: float) -> tuple[float, float]:
     """(lowest, highest) equilibrium run length over all gap lengths; gaps
     themselves must be 1 or 2 (see ALLOWED_GAPS).
     For the lower bound at a given gap length use equilibrium_k_lower."""
-    _check_domain(n, c)
-    a = n * (1.0 - c)
-    return ((a - 1.0) / 2.0, a)
+    return equilibrium_k_lower(n, c, 1), n * (1.0 - c)
 
 
 def efficiency_ratios(n: int, c: float) -> tuple[float, float]:
@@ -150,12 +148,7 @@ def tiled_line_config(n: int, k: int, l: int) -> GridConfig | None:
         raise ValueError("k and l must be >= 1")
     if (n - k) % (k + l) or n == k:
         return None
-    cells = np.zeros(n, dtype=np.uint8)
-    pos = 0
-    while pos < n:
-        cells[pos:pos + k] = 1
-        pos += k + l
-    return GridConfig(cells.reshape(1, n))
+    return line_config(n, k, l)
 
 
 def emit_table(ns, cs) -> str:

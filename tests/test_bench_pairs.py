@@ -14,9 +14,10 @@ spec.loader.exec_module(bench_pairs)
 BOUNDS = {"solve_s": (0.25, "lower"), "rate": (0.1, "higher")}
 
 
-def record(pair, side, solve_s, rate=1.0, workload="w"):
+def record(pair, side, solve_s, rate=1.0, workload="w", attempted=10, failed=0):
     return {"workload": workload, "seed": pair, "pair": pair, "side": side,
-            "result": {"metrics": {"solve_s": {"value": solve_s, "unit": "s"},
+            "result": {"attempted": attempted, "failed": failed,
+                       "metrics": {"solve_s": {"value": solve_s, "unit": "s"},
                                    "rate": {"value": rate, "unit": "1/s"}}}}
 
 
@@ -90,3 +91,19 @@ def test_higher_is_better():
         rec["result"]["metrics"]["rate"]["value"] = 0.8
     assert line(bench_pairs.report(recs, "w", BOUNDS),
                 "rate").endswith("worse beyond the 0.1 bound (+20.0%)")
+
+
+def test_operation_totals_and_a_larger_failed_share():
+    # Three pairs, the parent failing 1 of 10 operations in each.  A change
+    # failing 2 of 10 in one pair fails a larger share; one failing 2 of 20
+    # in every pair fails the same share.
+    recs = [record(pair, "parent", 1.0, failed=1) for pair in (1, 2, 3)]
+    more = recs + [record(1, "change", 1.0, failed=2)]
+    more += [record(pair, "change", 1.0, failed=1) for pair in (2, 3)]
+    assert line(bench_pairs.report(more, "w", BOUNDS), "operations") == (
+        "w operations: parent attempted 30, failed 3; change attempted 30, failed 4;"
+        " the change fails a larger share")
+    same = recs + [record(pair, "change", 1.0, attempted=20, failed=2) for pair in (1, 2, 3)]
+    assert line(bench_pairs.report(same, "w", BOUNDS), "operations") == (
+        "w operations: parent attempted 30, failed 3; change attempted 60, failed 6;"
+        " no larger failed share")

@@ -5,7 +5,13 @@ import os
 
 import pytest
 
-from notforest import __version__
+from notforest import (
+    GridConfig,
+    PlayerPartition,
+    __version__,
+    build_uniform_field,
+    is_nash,
+)
 from notforest.cli import main
 
 
@@ -199,3 +205,38 @@ def test_run_dir_connectivity_defaults_to_4(tmp_path, capsys):
         assert main(["verify", "--run-dir", str(tmp_path)]) in (0, 1)
         records.append(json.loads(capsys.readouterr().out)["welfare"])
     assert records[0] == records[1] != records[2]
+
+
+def write_run_dir(path, grid: str, m: int, cost: float = 0.0) -> None:
+    path.mkdir()
+    (path / "grid.txt").write_text(grid)
+    (path / "metrics.json").write_text(json.dumps({"manifest": {
+        "m": m, "field_v": None, "cost": cost}}))
+
+
+def test_verify_exhaustive_scope(tmp_path, capsys):
+    # A profile with no profitable deviation exits 0, one with a profitable
+    # deviation 1, and each prints is_nash's exhaustive max_gain.
+    part = PlayerPartition.square_tiling(4, 4)
+    field = build_uniform_field(4, 4)
+    codes = []
+    for name, grid in (("nash", "1111\n1111\n0000\n1111\n"),
+                       ("empty", "0000\n0000\n0000\n0000\n")):
+        write_run_dir(tmp_path / name, grid, 4)
+        check = is_nash(GridConfig.from_text(grid), field, part, 0.0, scope="exhaustive")
+        code = main(["verify", "--run-dir", str(tmp_path / name), "--scope", "exhaustive"])
+        record = json.loads(capsys.readouterr().out)
+        assert code == (0 if check.is_nash else 1)
+        assert record["scope"] == "exhaustive" and record["is_nash"] == check.is_nash
+        assert record["max_deviation_gain"] == check.max_gain
+        codes.append(code)
+    assert codes == [0, 1]
+
+
+def test_verify_exhaustive_refuses_large_players(tmp_path, capsys):
+    write_run_dir(tmp_path / "run", "00000000\n" * 8, 1)
+    assert main(["verify", "--run-dir", str(tmp_path / "run"), "--scope", "exhaustive"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    err = json.loads(err)
+    assert err["error"] == "ValueError" and "64 > 16 cells" in err["message"]

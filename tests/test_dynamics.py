@@ -917,6 +917,23 @@ class TestBlockScorer:
                 assert a.welfare_trajectory == b.welfare_trajectory
                 assert np.array_equal(a.player_utilities, b.player_utilities)
 
+    def test_near_ties_label_each_strategy_once(self, monkeypatch):
+        # With an infinite guard every comparison goes to the PlayerScorer,
+        # which keeps each strategy's utility: three comparisons of two
+        # strategies other than the base one label each of them once.
+        field = build_gaussian_field(8, 8, 10.0)
+        part = PlayerPartition.square_tiling(8, 4)
+        cells = (np.random.default_rng(0).random((8, 8)) < 0.5).astype(np.uint8)
+        scorer = dynamics.BlockScorer(1, cells, field, part, 0.0, 4,
+                                      label_cells(cells, field.p, 4))
+        s, t = scorer.start ^ 1, scorer.start ^ 6
+        want = scorer.improves(s, t), scorer.improves(t, s)
+        monkeypatch.setattr(dynamics, "_CUT_GUARD", np.inf)
+        calls = TestLabelingCounts.count_labelings(monkeypatch)
+        got = scorer.improves(s, t), scorer.improves(t, s), scorer.improves(s, t)
+        assert got == (*want, want[0])
+        assert len(calls) == 2
+
     class ZeroAt:
         """A Generator stand-in on a PCG64 stream (gen) whose k-th double is
         replaced by an exact 0.0."""
@@ -1061,6 +1078,60 @@ class TestIsNash:
         exhaustive = is_nash(result.config, field, part, 0.25, scope="exhaustive")
         # Exhaustive scope can only find weakly larger deviations.
         assert exhaustive.max_gain >= single.max_gain - 1e-12
+
+    def test_exhaustive_max_gain_matches_brute_force(self):
+        # Every strategy of every 4-cell player, utilities straight from the
+        # definition: the largest gain to rounding, and a witness attaining it.
+        rng = np.random.default_rng(17)
+        part = PlayerPartition.square_tiling(4, 4)
+        for connectivity in (4, 8):
+            for cost in (0.0, 0.3):
+                for density in (0.3, 0.7):
+                    p = rng.random((4, 4))
+                    field = LightningField(p / p.sum())
+                    cells = (rng.random((4, 4)) < density).astype(np.uint8)
+                    check = is_nash(GridConfig(cells), field, part, cost, scope="exhaustive",
+                                    connectivity=connectivity)
+
+                    def gain(i, bits):
+                        grid = TestBlockScorer.with_strategy(cells, part, i, bits)
+                        return (brute_force_player_utility(grid, field.p, part.owner, i, cost,
+                                                           connectivity)
+                                - brute_force_player_utility(cells, field.p, part.owner, i,
+                                                             cost, connectivity))
+
+                    best = max(gain(i, bits) for i in range(4)
+                               for bits in np.ndindex(2, 2, 2, 2))
+                    assert abs(check.max_gain - best) <= 1e-12, (connectivity, cost)
+                    assert abs(gain(*check.witness) - best) <= 1e-12, (connectivity, cost)
+
+    # repr(max_gain) and witness of the exhaustive scan of the final grid of
+    # an 8x8, v = 10, m = 4 run, keyed by (seed, connectivity, cost).
+    GOLDEN_EXHAUSTIVE = {
+        (0, 8, 0.25): ("0.37725737623427946",
+                       (1, (0, 1, 1, 1, 0, 1, 1, 1, 0, 1, 1, 1, 0, 0, 0, 0))),
+        (2, 8, 0.25): ("0.10947910214616563",
+                       (0, (1, 1, 0, 1, 0, 0, 0, 1, 1, 1, 0, 1, 1, 1, 0, 1))),
+        (1, 4, 0.0): ("0.021355685691114346",
+                      (0, (1, 0, 1, 1, 1, 1, 0, 1, 0, 0, 1, 0, 1, 1, 1, 1))),
+    }
+
+    def test_golden_exhaustive_scans(self, monkeypatch):
+        # A player's 2^16 strategies are scored off one frozen exterior, not
+        # through a labeling each: the scan labels fewer times than one
+        # player has strategies.
+        field = build_gaussian_field(8, 8, 10.0)
+        part = PlayerPartition.square_tiling(8, 4)
+        for (seed, connectivity, cost), pinned in self.GOLDEN_EXHAUSTIVE.items():
+            params = DynamicsParams(seed=seed, connectivity=connectivity)
+            config = best_response_dynamics(field, part, cost, params).config
+            calls = TestLabelingCounts.count_labelings(monkeypatch)
+            check = is_nash(config, field, part, cost, scope="exhaustive",
+                            connectivity=connectivity)
+            monkeypatch.undo()
+            assert (repr(check.max_gain), check.witness) == pinned, seed
+            assert not check.is_nash and check.profitable_flips is None
+            assert len(calls) < 2 ** 16, seed
 
     def test_exhaustive_refused_for_large_players(self):
         field = build_uniform_field(8, 8)

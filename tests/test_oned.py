@@ -27,6 +27,9 @@ class TestOptimalK:
             oned.optimal_k(100, -0.1)
         with pytest.raises(ValueError):
             oned.optimal_k(1, 0.0)
+        # The domain is checked before any square root is taken.
+        with pytest.raises(ValueError, match="cost must satisfy"):
+            oned.optimal_density(10, 5.0)
 
     def test_density_and_welfare_forms(self):
         n, c = 99, 0.0

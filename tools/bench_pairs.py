@@ -12,7 +12,9 @@ seed, pair and side.  Then, per end-to-end metric, it prints the parent's
 median and quartiles, this checkout's median, the pairs this checkout won
 and tied, whether the gap between the medians exceeds the parent's
 interquartile range, and a verdict against the metric's bound and direction
-in BENCHMARK.json (see verdict).
+in BENCHMARK.json (see verdict).  A last line gives each side's attempted and
+failed operations, summed over the pairs, and flags a change that fails a
+larger share of its operations than the parent.
 """
 
 from __future__ import annotations
@@ -69,7 +71,8 @@ def report(records: list, workload: str, bounds: dict) -> list:
     when there are fewer than two such pairs: the parent's median and
     quartiles, this checkout's median, the pairs it won and tied, whether the
     gap between the medians exceeds the parent's interquartile range, and
-    the verdict against the metric's (bound, better) in bounds."""
+    the verdict against the metric's (bound, better) in bounds.  Then one
+    line of each side's attempted and failed operations over those pairs."""
     pairs: dict = {}
     for rec in records:
         if rec["workload"] == workload:
@@ -92,6 +95,15 @@ def report(records: list, workload: str, bounds: dict) -> list:
             f" tied in {ties}; median gap {gap:.4g}"
             f" {'exceeds' if gap > q3 - q1 else 'within'} the parent's IQR {q3 - q1:.4g}; "
             + verdict(base, new, bound, better))
+    tried, failed, new_tried, new_failed = (
+        sum(p[side][key] for p in pairs)
+        for side in ("parent", "change") for key in ("attempted", "failed"))
+    # The failed shares, compared cross-multiplied: a side may attempt none.
+    larger = new_failed * tried > failed * new_tried
+    lines.append(
+        f"{workload} operations: parent attempted {tried}, failed {failed};"
+        f" change attempted {new_tried}, failed {new_failed}; "
+        + ("the change fails a larger share" if larger else "no larger failed share"))
     return lines
 
 
