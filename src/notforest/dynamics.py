@@ -16,11 +16,11 @@ visit never lowers the player's utility.
 All randomness flows through a single numpy Generator per run; draw order is
 fixed (one uniform per player per outer round; per inner iteration the
 reference strategy first, then one uniform per cell in row-major order), so a
-(parameters, seed) pair reproduces a run bit-exactly.  A visit to a player of
-at most _BLOCK_MAX_CELLS cells makes those draws in three calls, which give
-the same stream.  A one-cell player's visit is a function of the grid, so
-when the grid has not changed since the player's last scored visit, the
-visit makes its draws without scoring: it would keep the cell.
+(parameters, seed) pair reproduces a run bit-exactly.  Every visit draws its
+first reference through choose_actions and the rest in the calls _draw_calls
+lays out.  A one-cell player's visit is a function of the grid, so when the
+grid has not changed since the player's last scored visit, the visit makes
+its draws without scoring: it would keep the cell.
 """
 
 from __future__ import annotations
@@ -121,20 +121,54 @@ class RunResult:
         return self.welfare_trajectory[-1]
 
 
-def choose_actions(n_cells: int, previous: np.ndarray | None,
-                   rng: np.random.Generator) -> np.ndarray:
-    """Reference strategy for one inner iteration: uniform random bits on the
-    first iteration (previous None), the previous candidate after that.
-
-    Draw order: one uniform per cell (row-major), then on the first
-    iteration one random bit per cell.  With no exploration the uniforms
-    decide nothing; drawing them keeps a seed's stream, and so its run, as
-    it has been.
-    """
+def choose_actions(n_cells: int, rng: np.random.Generator) -> list:
+    """A visit's first reference strategy, uniform random bits as a list of
+    0/1 ints, one per cell in row-major order; every later reference is the
+    previous candidate.  Draws one uniform per cell, which with no exploration
+    decides nothing but keeps a seed's stream as it has been, then the bits."""
     rng.random(n_cells)
-    if previous is None:
-        return rng.integers(0, 2, size=n_cells, dtype=np.uint8)
-    return previous
+    if n_cells == 1:
+        # A scalar bit is an array of one's bit and stream, at a third of the cost.
+        return [int(rng.integers(0, 2, dtype=np.uint8))]
+    return rng.integers(0, 2, size=n_cells, dtype=np.uint8).tolist()
+
+
+# A visit draws whole iterations' uniforms, at most this many a call unless one
+# iteration needs more: 200 iterations of a 4096-cell player would draw 13 MB
+# at once, while a default visit of up to 64 cells draws in one call.
+_MAX_DRAW = 1 << 14
+
+
+@cache
+def _draw_calls(n_cells: int, t_opt: int) -> tuple:
+    """How a visit draws its uniforms after choose_actions': (iterations,
+    uniforms) per call.  Per iteration, in stream order, come one selection
+    uniform per cell, row-major, then the next iteration's reference
+    uniforms, which decide nothing; the last iteration has no next."""
+    per_call = max(1, _MAX_DRAW // (2 * n_cells))
+    ks = [min(per_call, t_opt - start) for start in range(0, t_opt, per_call)]
+    return tuple((k, n_cells * (2 * k - (c == len(ks) - 1))) for c, k in enumerate(ks))
+
+
+def _selections(n_cells: int, t_opt: int, rng: np.random.Generator):
+    """Each iteration's selected cells: those whose selection uniform is at
+    most default_p_cell of the player's size, as a list of indices for a
+    BlockScorer's bit shifts or, past _BLOCK_MAX_CELLS cells, an array for a
+    PlayerScorer.  Only one draw call's picks are held at a time."""
+    p_cell = default_p_cell(n_cells)
+    for k, size in _draw_calls(n_cells, t_opt):
+        uniforms = rng.random(size)
+        if n_cells == 1:
+            # p_cell is 1: every iteration selects the one cell.
+            yield from [[0]] * k
+            continue
+        # Row r views iteration r's selection uniforms, float64s of 8 bytes.
+        selection = np.ndarray((k, n_cells), buffer=uniforms, strides=(16 * n_cells, 8))
+        rows, cols = np.divmod(np.flatnonzero(selection <= p_cell), n_cells)
+        picks, start = cols.tolist() if n_cells <= _BLOCK_MAX_CELLS else cols, 0
+        for count in np.bincount(rows, minlength=k).tolist():
+            yield picks[start:start + count]
+            start += count
 
 
 # Removal gains read off the labeling held that lie within this of 0 are
@@ -399,9 +433,9 @@ def _plant_gain(p_j: float, neigh: list, cost: float) -> float:
     return gain
 
 
-# Players of at most this many cells are visited by _block_visit; larger ones
-# keep PlayerScorer.  At 64 cells the flood fills win on a 64x64 grid, tie on a
-# 16x16 one and lose on a 32x32, v = 100 one, where most cells are planted.
+# Players of at most this many cells are scored by a BlockScorer, larger ones
+# by a PlayerScorer.  At 64 cells the flood fills win on a 64x64 grid, tie on
+# a 16x16 one and lose on a 32x32, v = 100 one, where most cells are planted.
 _BLOCK_MAX_CELLS = 16
 
 
@@ -556,47 +590,6 @@ class BlockScorer:
         return exact.utility(self.strategy(s)) > exact.utility(self.strategy(t))
 
 
-def _visit_draws(n_i: int, t_opt: int, rng: np.random.Generator) -> tuple:
-    """A visit's draws for an n_i-cell player, made in three calls: the same
-    stream as the per-iteration draws.  Returns the first reference's bits,
-    as a list, and the uniforms after them."""
-    rng.random(n_i)
-    # A scalar bit is an array of one's bit and stream, at a third of the cost.
-    bits = (rng.integers(0, 2, size=n_i, dtype=np.uint8).tolist() if n_i > 1
-            else [int(rng.integers(0, 2, dtype=np.uint8))])
-    # The first iteration's n selection uniforms, then per later iteration n
-    # reference uniforms and n selection uniforms.
-    return bits, rng.random((2 * t_opt - 1) * n_i)
-
-
-def _block_visit(i: int, base_cells: np.ndarray, field, part: PlayerPartition,
-                 cost: float, t_opt: int, rng: np.random.Generator,
-                 connectivity: int, labeling) -> np.ndarray:
-    """opt_sampled_fp for a player of at most _BLOCK_MAX_CELLS cells, scored
-    by a BlockScorer, with the visit's draws made by _visit_draws."""
-    n_i = part.n_player_cells(i)
-    bits, draws = _visit_draws(n_i, t_opt, rng)
-    picks = [[] for _ in range(t_opt)]
-    for q in np.flatnonzero(draws <= default_p_cell(n_i)).tolist():
-        k, j = divmod(q + n_i, 2 * n_i)
-        if j >= n_i:
-            picks[k].append(j - n_i)
-
-    scorer = BlockScorer(i, base_cells, field, part, cost, connectivity, labeling)
-    incumbent = scorer.start
-    candidate = sum(bit << j for j, bit in enumerate(bits))
-    for js in picks:
-        ref = candidate
-        for j in js:
-            if scorer.plant_gain(ref, j) > 0:
-                candidate |= 1 << j
-            else:
-                candidate &= ~(1 << j)
-        if candidate != incumbent and scorer.improves(candidate, incumbent):
-            incumbent = candidate
-    return scorer.strategy(incumbent)
-
-
 def opt_sampled_fp(i: int, base_cells: np.ndarray, field, part: PlayerPartition,
                    cost: float, t_opt: int, rng: np.random.Generator,
                    connectivity: int, labeling) -> np.ndarray:
@@ -604,39 +597,43 @@ def opt_sampled_fp(i: int, base_cells: np.ndarray, field, part: PlayerPartition,
 
     base_cells holds the current planting of every player; player i's cells
     there are the starting incumbent, scored at their exact utility, so the
-    returned strategy never leaves player i worse off.  Each iteration selects
-    each cell with probability default_p_cell of the player's size.  labeling
-    is the caller's labeling of base_cells under connectivity, which the visit
-    reads instead of labeling base_cells again.  Returns player i's strategy
-    as a 0/1 vector over their cells in row-major order.  A player of at most
-    _BLOCK_MAX_CELLS cells is visited by _block_visit, which makes the same
-    decisions from the same draws.
+    returned strategy never leaves player i worse off.  labeling is the
+    caller's labeling of base_cells under connectivity, which the visit reads
+    instead of labeling base_cells again.  Returns player i's strategy as a
+    0/1 vector over their cells in row-major order.  A BlockScorer scores a
+    player of at most _BLOCK_MAX_CELLS cells and makes a PlayerScorer's
+    decisions.
     """
-    if part.n_player_cells(i) <= _BLOCK_MAX_CELLS:
-        return _block_visit(i, base_cells, field, part, cost, t_opt, rng, connectivity, labeling)
+    n_i = part.n_player_cells(i)
+    bits = choose_actions(n_i, rng)
+    # The candidate is the reference with the selected cells replaced by
+    # their best responses; mutating the reference (rather than the
+    # incumbent) keeps the search moving past one-flip-stable layouts, and
+    # the strict-improvement gate still protects the incumbent.
+    if n_i <= _BLOCK_MAX_CELLS:
+        scorer = BlockScorer(i, base_cells, field, part, cost, connectivity, labeling)
+        incumbent = scorer.start
+        candidate = sum(bit << j for j, bit in enumerate(bits))
+        for js in _selections(n_i, t_opt, rng):
+            ref = candidate
+            for j in js:
+                bit = 1 << j
+                candidate = candidate | bit if scorer.plant_gain(ref, j) > 0 else candidate & ~bit
+            if candidate != incumbent and scorer.improves(candidate, incumbent):
+                incumbent = candidate
+        return scorer.strategy(incumbent)
     scorer = PlayerScorer(i, base_cells, field, part, cost, connectivity, labeling)
-    n_i = scorer.rows.size
-    p_cell = default_p_cell(n_i)
     incumbent = base_cells[scorer.rows, scorer.cols]
     incumbent_util = scorer.utility(incumbent)
-    candidate = None
-
-    for _ in range(t_opt):
-        ref = choose_actions(n_i, candidate, rng)
-        sel = rng.random(n_i)
-        selected = np.flatnonzero(sel <= p_cell)
-        # The candidate is the reference with the selected cells replaced by
-        # their best responses; mutating the reference (rather than the
-        # incumbent) keeps the search moving past one-flip-stable layouts,
-        # and the strict-improvement gate below still protects the incumbent.
-        candidate = ref.copy()
-        if selected.size:
-            candidate[selected] = scorer.plant_gains(ref, selected) > 0
+    candidate = np.array(bits, dtype=np.uint8)
+    for js in _selections(n_i, t_opt, rng):
+        ref, candidate = candidate, candidate.copy()
+        if js.size:
+            candidate[js] = scorer.plant_gains(ref, js) > 0
         if (candidate != incumbent).any():
             cand_util = scorer.utility(candidate)
             if cand_util > incumbent_util:
-                incumbent = candidate
-                incumbent_util = cand_util
+                incumbent, incumbent_util = candidate, cand_util
     return incumbent
 
 
@@ -687,16 +684,16 @@ def best_response_dynamics(field, part: PlayerPartition, cost: float,
             # time, so the lone player always re-optimizes.
             updated = rng.random() <= params.p_player or part.m == 1
             # A one-cell player selects its cell on every iteration
-            # (p_cell = 1), and whether to plant it is decided against the
-            # frozen exterior whatever the reference, every near-tie on
-            # relabeled masses: the visit's outcome is a function of the
-            # grid alone.  Its last scored visit applied that function, so
-            # while the grid is unchanged since then the visit would keep
-            # the cell; it only makes its draws.  Any change to a one-cell
-            # visit must keep its outcome a function of the grid, as a polish
-            # step that draws nothing would.
+            # (p_cell = 1) and plants it or not against the frozen exterior
+            # whatever the reference, every near-tie on relabeled masses:
+            # the visit's outcome is a function of the grid alone.  While the
+            # grid is unchanged since its last scored visit, the visit would
+            # keep the cell, so it only makes its draws.  Any change to a
+            # one-cell visit must keep its outcome a function of the grid.
             if updated and seen[i] == version:
-                _visit_draws(1, t_opt, rng)
+                choose_actions(1, rng)
+                for _, size in _draw_calls(1, t_opt):
+                    rng.random(size)
             elif updated:
                 rows, cols = player_cells[i]
                 s_i = opt_sampled_fp(i, cells, field, part, cost, t_opt, rng,
@@ -802,7 +799,9 @@ def is_nash(config: GridConfig, field, part: PlayerPartition, cost: float,
         best = 0
         for t in order[1:]:
             if scorer.improves(t, best):
-                best = t
+                best, t = t, best
+            # Only the running best is read again; the loser's memos go.
+            del scorer.memo[t], scorer.utilities[t]
         bits = scorer.strategy(best)
         gain = (scorer.exact().utility(bits)
                 - player_utility(config, field, part, i, cost, labeling))

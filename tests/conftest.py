@@ -95,3 +95,31 @@ def naive_best_response_dynamics(field, part, cost, params):
     utilities = np.array([cells_utility(labeling, *part.player_cells(i), cost)
                           for i in range(part.m)])
     return GridConfig(cells), trace, trajectory, utilities, changes
+
+
+def naive_opt_sampled_fp(i, base_cells, field, part, cost, t_opt, rng, connectivity, labeling):
+    """opt_sampled_fp as one loop of iterations, each making its own draws:
+    the reference's uniforms (and on the first iteration its bits), then the
+    selection uniforms.  Every player is scored by a PlayerScorer.  The
+    oracle for opt_sampled_fp's draw calls and its BlockScorer visits."""
+    from notforest.dynamics import PlayerScorer, default_p_cell
+
+    scorer = PlayerScorer(i, base_cells, field, part, cost, connectivity, labeling)
+    n_i = scorer.rows.size
+    incumbent = base_cells[scorer.rows, scorer.cols]
+    incumbent_util = scorer.utility(incumbent)
+    candidate = None
+    for _ in range(t_opt):
+        rng.random(n_i)
+        if candidate is None:
+            candidate = rng.integers(0, 2, size=n_i, dtype=np.uint8)
+        ref = candidate
+        selected = np.flatnonzero(rng.random(n_i) <= default_p_cell(n_i))
+        candidate = ref.copy()
+        if selected.size:
+            candidate[selected] = scorer.plant_gains(ref, selected) > 0
+        if (candidate != incumbent).any():
+            cand_util = scorer.utility(candidate)
+            if cand_util > incumbent_util:
+                incumbent, incumbent_util = candidate, cand_util
+    return incumbent

@@ -2,6 +2,7 @@
 
 import importlib.util
 import os
+import sys
 
 import pytest
 
@@ -36,6 +37,21 @@ def line(lines, name):
 def test_seeds():
     assert bench_pairs.seeds("7") == [7]
     assert bench_pairs.seeds("30-33") == [30, 31, 32, 33]
+    assert bench_pairs.seeds("5-5") == [5]
+
+
+@pytest.mark.parametrize("text", ["39-30", "", "-", "3-x"])
+def test_seeds_without_a_seed_are_refused(text, tmp_path, monkeypatch, capsys):
+    # A reversed or empty range is an argparse error: exit 2 before any run,
+    # with the out file left unmade.
+    out = tmp_path / "runs.json"
+    monkeypatch.setattr(sys, "argv", ["bench_pairs.py", "--parent", str(tmp_path),
+                                      "--workload", "w", "--seeds", text, "--out", str(out)])
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main()
+    assert exc.value.code == 2
+    assert "--seeds" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_load_bounds_reads_the_benchmark():

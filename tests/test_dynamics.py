@@ -24,7 +24,8 @@ from notforest import (
 from notforest import dynamics, oned
 from notforest.grid import FOUR_NEIGHBOR, label_cells, welfare
 
-from conftest import brute_force_player_utility, naive_best_response_dynamics
+from conftest import (brute_force_player_utility, naive_best_response_dynamics,
+                      naive_opt_sampled_fp)
 
 
 def ring_of(cells, y, x) -> int:
@@ -58,19 +59,13 @@ def local_non_cut(ring: int, connectivity: int) -> bool:
 
 class TestChooseActions:
     # In sampled-fictitious-play terms the reference comes from a one-entry
-    # history with no exploration: empty on the first iteration, then the
-    # previous candidate.
+    # history with no exploration: choose_actions draws the first, from the
+    # empty history; every later one is the previous candidate.
     def test_empty_history_is_fair_coin(self):
         rng = np.random.default_rng(0)
-        draws = np.concatenate([choose_actions(100, None, rng) for _ in range(100)])
+        draws = np.concatenate([choose_actions(100, rng) for _ in range(100)])
         assert set(np.unique(draws)) <= {0, 1}
         assert abs(draws.mean() - 0.5) < 0.02
-
-    def test_no_exploration_copies_single_history_entry(self):
-        rng = np.random.default_rng(1)
-        previous = np.array([1, 0, 1, 1, 0], dtype=np.uint8)
-        for _ in range(10):
-            assert np.array_equal(choose_actions(5, previous, rng), previous)
 
 
 class TestDefaultIterations:
@@ -191,19 +186,41 @@ class TestOptSampledFP:
             fresh.random((2 * t_opt - 1) * n)
             assert rng.bit_generator.state == fresh.bit_generator.state, n
 
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    @pytest.mark.parametrize("cost", [0.0, 0.3])
+    def test_matches_naive_visit_loop(self, connectivity, cost):
+        # Players of 1, 16, 64, 256 and 4096 cells, each with a t_opt whose
+        # last draw call holds fewer iterations than the others: same
+        # strategy, same generator state.
+        for edge, m, t_opt in ((16, 256, 8195), (16, 16, 515), (16, 4, 130),
+                               (16, 1, 35), (64, 1, 5)):
+            n = edge * edge // m
+            calls = dynamics._draw_calls(n, t_opt)
+            assert len(calls) > 1 and calls[-1][0] < calls[0][0], n
+            field = build_gaussian_field(edge, edge, 10.0)
+            part = PlayerPartition.square_tiling(edge, m)
+            base = (np.random.default_rng(edge).random((edge, edge)) < 0.5).astype(np.uint8)
+            labeling = label_cells(base, field.p, connectivity)
+            for i in sorted({0, m // 2 + 1} & set(range(m))):
+                rng, ref = np.random.default_rng(i), np.random.default_rng(i)
+                got = opt_sampled_fp(i, base, field, part, cost, t_opt, rng, connectivity,
+                                     labeling)
+                want = naive_opt_sampled_fp(i, base, field, part, cost, t_opt, ref,
+                                            connectivity, labeling)
+                assert got.tolist() == want.tolist(), (n, i)
+                assert rng.bit_generator.state == ref.bit_generator.state, (n, i)
+
     def test_one_cell_draws_match_the_array_form(self):
-        # _visit_draws draws a one-cell player's bit as a scalar; bits,
-        # uniforms and generator states must be those of the array form,
-        # draw after draw.
+        # choose_actions draws a one-cell player's bit as a scalar; bits and
+        # generator states must be those of the array form, draw after draw.
         for seed in range(200):
-            for t_opt in (1, 3):
-                rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-                for _ in range(3):
-                    bits, draws = dynamics._visit_draws(1, t_opt, rng)
-                    ref.random(1)
-                    assert bits == ref.integers(0, 2, size=1, dtype=np.uint8).tolist()
-                    assert np.array_equal(draws, ref.random(2 * t_opt - 1))
-                    assert rng.bit_generator.state == ref.bit_generator.state, (seed, t_opt)
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(3):
+                bits = choose_actions(1, rng)
+                ref.random(1)
+                assert bits == ref.integers(0, 2, size=1, dtype=np.uint8).tolist()
+                assert rng.bit_generator.state == ref.bit_generator.state, seed
+                assert rng.random() == ref.random()
 
 
 class TestBestResponseDynamics:
@@ -477,6 +494,19 @@ class TestLabelingCounts:
         result = best_response_dynamics(field, part, 0.0,
                                         DynamicsParams(t_br=3, p_player=0.0))
         return field, part, result
+
+    # ndimage.label calls per run on a 16x16, v = 10 field at cost 0 and
+    # seed 0, keyed by (m, t_br); t_br None is the default schedule.
+    PINNED_RUNS = {(1, None): 210, (4, 3): 585, (16, 3): 53, (256, 3): 277}
+
+    def test_labelings_per_run_are_pinned(self, monkeypatch):
+        field = build_gaussian_field(16, 16, 10.0)
+        calls = self.count_labelings(monkeypatch)
+        for (m, t_br), want in self.PINNED_RUNS.items():
+            calls.clear()
+            best_response_dynamics(field, PlayerPartition.square_tiling(16, m), 0.0,
+                                   DynamicsParams(seed=0, t_br=t_br))
+            assert len(calls) == want, m
 
     def test_unchanged_grid_is_labeled_once(self, monkeypatch):
         calls = self.count_labelings(monkeypatch)
@@ -1132,6 +1162,26 @@ class TestIsNash:
             assert (repr(check.max_gain), check.witness) == pinned, seed
             assert not check.is_nash and check.profitable_flips is None
             assert len(calls) < 2 ** 16, seed
+
+    def test_exhaustive_scan_keeps_only_the_running_best(self, monkeypatch):
+        # Each BlockScorer of the scan ends with one memo entry, the best, not
+        # one per strategy; max_gain and the witness are the golden ones.
+        field = build_gaussian_field(8, 8, 10.0)
+        part = PlayerPartition.square_tiling(8, 4)
+        config = best_response_dynamics(field, part, 0.0, DynamicsParams(seed=1)).config
+        scorers = []
+
+        class Recorded(dynamics.BlockScorer):
+            def __init__(self, *args):
+                super().__init__(*args)
+                scorers.append(self)
+
+        monkeypatch.setattr(dynamics, "BlockScorer", Recorded)
+        check = is_nash(config, field, part, 0.0, scope="exhaustive")
+        assert (repr(check.max_gain), check.witness) == self.GOLDEN_EXHAUSTIVE[(1, 4, 0.0)]
+        assert len(scorers) == part.m
+        for scorer in scorers:
+            assert len(scorer.memo) == len(scorer.utilities) == 1
 
     def test_exhaustive_refused_for_large_players(self):
         field = build_uniform_field(8, 8)

@@ -31,8 +31,13 @@ BENCHMARK = os.path.join(ROOT, "BENCHMARK.json")
 
 
 def seeds(text: str) -> list:
+    """The seeds of --seeds, N or N-M, in order; argparse rejects a range
+    with none."""
     first, _, last = text.partition("-")
-    return list(range(int(first), int(last or first) + 1))
+    out = list(range(int(first), int(last or first) + 1))
+    if not out:
+        raise argparse.ArgumentTypeError(f"seed range {text!r} holds no seed")
+    return out
 
 
 def run(checkout: str, workload: str, seed: int, seconds: float) -> dict:
@@ -111,7 +116,8 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", required=True, help="root of the parent checkout")
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--seeds", required=True, help="one seed per pair: N or N-M")
+    parser.add_argument("--seeds", required=True, type=seeds,
+                        help="one seed per pair: N or N-M, M >= N")
     parser.add_argument("--seconds", type=float, default=55)
     parser.add_argument("--out", required=True, help="JSON list the runs are appended to")
     args = parser.parse_args()
@@ -120,7 +126,7 @@ def main() -> None:
         with open(args.out) as fh:
             records = json.load(fh)
     pair = 1 + max((r["pair"] for r in records if r["workload"] == args.workload), default=0)
-    for seed in seeds(args.seeds):
+    for seed in args.seeds:
         sides = [("parent", args.parent), ("change", ROOT)]
         for side, checkout in sides[::-1] if pair % 2 else sides:
             records.append({"workload": args.workload, "seed": seed, "pair": pair,
