@@ -184,6 +184,11 @@ _ONE_PASS_MIN_CELLS = 20
 # Neighbor offsets in the order plant gains sum their masses; the first four
 # are the 4-connected ones.  Bit k of a ring mask is the cell at _OFFSETS[k].
 _OFFSETS = ((0, 1), (0, -1), (1, 0), (-1, 0), (1, 1), (1, -1), (-1, 1), (-1, -1))
+# _box_gains packs component boxes into strips of at most this many cells,
+# one labeling each; a larger box gets a strip of its own.  A labeling costs
+# about 12 us before its first cell, which a 64x64, m = 1 solve paid on some
+# 3,000 one-box relabels.
+_STRIP_CELLS = 1 << 15
 
 
 def _ring(labels: np.ndarray, y: int, x: int) -> int:
@@ -302,8 +307,10 @@ class PlayerScorer:
         (_box_gain) instead; every gain's sign is then the relabeled masses'.
 
         A batch of at least _ONE_PASS_MIN_CELLS cells is priced in one numpy
-        pass (_one_pass_gains), a smaller one cell by cell (_cell_gains); the
-        two give the same gains bit for bit.
+        pass (_one_pass_gains), which labels all its boxes at once, packed
+        into strips (_box_gains); a smaller one is priced cell by cell
+        (_cell_gains), one box relabel per box cell.  The two give the same
+        gains bit for bit.
         """
         self.labeled(s)
         if len(js) >= _ONE_PASS_MIN_CELLS:
@@ -339,9 +346,8 @@ class PlayerScorer:
     def _one_pass_gains(self, s: np.ndarray, js) -> np.ndarray:
         """plant_gains in one numpy pass, with s's labeling held.  Each cell's
         neighbor labels, in _OFFSETS order with repeats zeroed, form the
-        columns of _plant_gain's arithmetic, which runs a column at a time in
-        the loop's order; an absent or repeated neighbor adds 0.0 to the mass
-        and takes 0.0 off the gain, so every gain equals _cell_gains' exactly."""
+        columns of _column_gains, so every gain equals _cell_gains' exactly;
+        the batch's box cells are priced together (_box_gains)."""
         labeling = self.labeling
         height, width = labeling.labels.shape
         conn = self.connectivity
@@ -350,9 +356,7 @@ class PlayerScorer:
         labels = np.append(labeling.labels.ravel(), 0)
         near = labels[_neighbor_table(height, width)[g]]
         ring = np.packbits(near > 0, axis=1, bitorder="little")[:, 0]
-        near = near[:, :conn]
-        for k in range(1, conn):
-            near[(near[:, :k] == near[:, k, None]).any(axis=1), k] = 0
+        near = _distinct(near[:, :conn])
         # A planted cell with a neighbor under the connectivity (less) has
         # one column, its component less the cell's p and tree; one without
         # has none.
@@ -365,23 +369,77 @@ class PlayerScorer:
         p = self.p.ravel()[g]
         mass[:, 0] -= p * less
         count[:, 0] -= less
-        total = np.zeros(len(g))
-        for k in range(conn):
-            total += mass[:, k]
-        merged = p + total
-        gains = 1.0 - merged - self.cost
-        for k in range(conn):
-            gains -= count[:, k] * (merged - mass[:, k])
+        gains = _column_gains(p, mass, count, self.cost)
         box = planted & ~(_not_cut_mask(conn)[ring] & (np.abs(gains) > _CUT_GUARD))
-        for k in np.flatnonzero(box).tolist():
-            gains[k] = self._box_gain(int(js[k]))
+        if box.any():
+            gains[box] = self._box_gains(js[box].tolist())
         return gains
+
+    def _box_gains(self, js: list) -> list:
+        """_box_gain of each planted cell j in js, distinct, with one
+        labeling per strip of packed boxes.  Each cell not yet priced puts its
+        component's box, the cell cleared, into a strip: boxes side by side
+        with an empty column between them and an empty border, so no piece
+        spans two boxes and a cell's neighbors off its box read empty.
+        Sorted by height, boxes of one strip pad little.  Within a piece the
+        strip's raster order is its box's, so bincount sums the masses of
+        _box_gain bit for bit."""
+        box_gains, labeling = self.box_gains, self.labeling
+        new = [j for j in js if j not in box_gains]
+        boxes = [labeling.boxes[labeling.labels.item(self.ys[j], self.xs[j]) - 1]
+                 for j in new]
+        order = sorted(range(len(new)), key=lambda k: boxes[k][0].stop - boxes[k][0].start)
+        # width: the last strip's columns right of its left border.
+        strips, width = [], 0
+        for k in order:
+            rows, cols = boxes[k]
+            width += cols.stop - cols.start + 1
+            if not strips or (rows.stop - rows.start + 2) * (1 + width) > _STRIP_CELLS:
+                strips.append([])
+                width = cols.stop - cols.start + 1
+            strips[-1].append(k)
+        for strip in strips:
+            self._label_strip([new[k] for k in strip], [boxes[k] for k in strip])
+        return [box_gains[j] for j in js]
+
+    def _label_strip(self, js: list, boxes: list) -> None:
+        """Label one strip of _box_gains, the boxes of cells js left to
+        right, the tallest last, and keep each cell's gain in box_gains."""
+        labeling, conn = self.labeling, self.connectivity
+        height = boxes[-1][0].stop - boxes[-1][0].start + 2
+        width = 1 + sum(cols.stop - cols.start + 1 for _, cols in boxes)
+        sub = np.zeros((height, width), dtype=bool)
+        p = np.zeros((height, width))
+        mine = np.zeros((height, width), dtype=bool)
+        at, x0 = [], 1
+        for j, box in zip(js, boxes):
+            y, x = self.ys[j], self.xs[j]
+            rows, cols = box
+            dst = (slice(1, 1 + rows.stop - rows.start), slice(x0, x0 + cols.stop - cols.start))
+            np.equal(labeling.labels[box], labeling.labels.item(y, x), out=sub[dst])
+            p[dst] = self.p[box]
+            np.equal(self.owner[box], self.i, out=mine[dst])
+            y, x = 1 + y - rows.start, x0 + x - cols.start
+            sub[y, x] = False
+            at.append(y * width + x)
+            x0 += cols.stop - cols.start + 1
+        pieces = label_cells(sub, p, conn)
+        own = np.bincount(pieces.labels[mine], minlength=pieces.n_components + 1)
+        own[0] = 0
+        at = np.array(at)
+        near = _distinct(pieces.labels.ravel()[
+            at[:, None] + np.array([dy * width + dx for dy, dx in _OFFSETS[:conn]])])
+        gains = _column_gains(p.ravel()[at], np.append(0.0, pieces.masses)[near], own[near],
+                              self.cost)
+        self.box_gains.update(zip(js, gains.tolist()))
 
     def _box_gain(self, j: int) -> float:
         """Plant gain of planted cell j of the held strategy off a labeling of
         its component's bounding box with the cell cleared, kept until the
         scorer relabels.  bincount sums each piece's mass in the grid's raster
-        order restricted to the box: a grid relabel's."""
+        order restricted to the box: a grid relabel's.  The cell loop's path:
+        its few box cells a call would pay more for a strip (_box_gains)
+        than for a labeling each."""
         gain = self.box_gains.get(j)
         if gain is None:
             labeling, y, x = self.labeling, self.ys[j], self.xs[j]
@@ -413,6 +471,31 @@ class PlayerScorer:
         mass_at, own_at = labeling.masses.item, own.item
         return _plant_gain(p_j, [(mass_at(lab - 1), own_at(lab - 1)) for lab in neigh],
                            self.cost)
+
+
+def _distinct(near: np.ndarray) -> np.ndarray:
+    """Rows of neighbor labels with each repeat of a label in its row set to
+    0, the empty label."""
+    for k in range(1, near.shape[1]):
+        near[(near[:, :k] == near[:, k, None]).any(axis=1), k] = 0
+    return near
+
+
+def _column_gains(p: np.ndarray, mass: np.ndarray, count: np.ndarray,
+                  cost: float) -> np.ndarray:
+    """_plant_gain of cells of strike probabilities p, row k's neighbors the
+    (mass, count) pairs of row k, taken a column at a time in _plant_gain's
+    order.  A column of mass 0.0 and count 0, an absent neighbor, adds 0.0 to
+    the mass and takes 0.0 off the gain, so each gain equals _plant_gain's
+    over the row's other pairs bit for bit."""
+    total = np.zeros(len(p))
+    for k in range(mass.shape[1]):
+        total += mass[:, k]
+    merged = p + total
+    gains = 1.0 - merged - cost
+    for k in range(mass.shape[1]):
+        gains -= count[:, k] * (merged - mass[:, k])
+    return gains
 
 
 def _plant_gain(p_j: float, neigh: list, cost: float) -> float:
@@ -760,7 +843,8 @@ def is_nash(config: GridConfig, field, part: PlayerPartition, cost: float,
     _CUT_GUARD of 0, relabels the bounding box of the tree's component with
     that cell cleared.  The guard keeps the sign of every gain that of the
     relabeled masses.  A player's flips are one plant_gains batch: one numpy
-    pass for a player of at least _ONE_PASS_MIN_CELLS cells, the cell loop
+    pass for a player of at least _ONE_PASS_MIN_CELLS cells, whose box
+    relabels are one labeling per strip of packed boxes, and the cell loop
     for a smaller one.  max_gain may differ from a difference of two
     utilities by rounding; the witness is the first cell, row-major, that
     attains it.  "exhaustive" tries every strategy of every player, refused

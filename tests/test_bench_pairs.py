@@ -1,7 +1,9 @@
 """tools/bench_pairs.py: seed ranges and the report on synthetic pairs."""
 
 import importlib.util
+import json
 import os
+import subprocess
 import sys
 
 import pytest
@@ -123,3 +125,43 @@ def test_operation_totals_and_a_larger_failed_share():
     assert line(bench_pairs.report(same, "w", BOUNDS), "operations") == (
         "w operations: parent attempted 30, failed 3; change attempted 60, failed 6;"
         " no larger failed share")
+
+
+def test_records_name_each_sides_commit(tmp_path, monkeypatch):
+    # The parent is a one-commit repository with an untracked file, clean
+    # for the first pair and with a tracked file edited for the second; this
+    # checkout's records carry its own HEAD.
+    def git(*args):
+        return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                              cwd=parent, check=True, capture_output=True,
+                              text=True).stdout.strip()
+
+    parent = tmp_path / "parent"
+    parent.mkdir()
+    (parent / "code.py").write_text("x = 1\n")
+    git("init", "-q")
+    git("add", "code.py")
+    git("commit", "-q", "-m", "one")
+    (parent / "untracked.txt").write_text("")
+    sha = git("rev-parse", "HEAD")
+    assert bench_pairs.revision(str(parent)) == {"commit": sha, "dirty": False}
+
+    def fake_run(checkout, workload, seed, seconds):
+        # Every parent run edits the tracked file, so the parent is clean
+        # only when pair 1 reads its revision.
+        if checkout == str(parent):
+            (parent / "code.py").write_text(f"x = {seed + 1}\n")
+        return {"attempted": 1, "failed": 0, "metrics": {}}
+
+    out = tmp_path / "runs.json"
+    monkeypatch.setattr(bench_pairs, "run", fake_run)
+    monkeypatch.setattr(sys, "argv", ["bench_pairs.py", "--parent", str(parent),
+                                      "--workload", "w", "--seeds", "1-2", "--out", str(out)])
+    bench_pairs.main()
+    recs = json.loads(out.read_text())
+    assert [(r["pair"], r["side"]) for r in recs] == [
+        (1, "change"), (1, "parent"), (2, "parent"), (2, "change")]
+    for rec in recs:
+        want = bench_pairs.revision(bench_pairs.ROOT)["commit"] if rec["side"] == "change" else sha
+        assert rec["commit"] == want
+    assert [r["dirty"] for r in recs if r["side"] == "parent"] == [False, True]

@@ -497,7 +497,7 @@ class TestLabelingCounts:
 
     # ndimage.label calls per run on a 16x16, v = 10 field at cost 0 and
     # seed 0, keyed by (m, t_br); t_br None is the default schedule.
-    PINNED_RUNS = {(1, None): 210, (4, 3): 585, (16, 3): 53, (256, 3): 277}
+    PINNED_RUNS = {(1, None): 203, (4, 3): 585, (16, 3): 53, (256, 3): 277}
 
     def test_labelings_per_run_are_pinned(self, monkeypatch):
         field = build_gaussian_field(16, 16, 10.0)
@@ -507,6 +507,20 @@ class TestLabelingCounts:
             best_response_dynamics(field, PlayerPartition.square_tiling(16, m), 0.0,
                                    DynamicsParams(seed=0, t_br=t_br))
             assert len(calls) == want, m
+
+    def test_single_optimizer_64_labelings_are_pinned(self, monkeypatch):
+        # A 64x64, v = 10, m = 1 solve at seed 0 prices every batch in one
+        # pass, each batch's removals off one strip of packed component
+        # boxes, and so does its single-flip is_nash.  Pricing each box on a
+        # labeling of its own took 2,966 and 145 labelings.
+        field = build_gaussian_field(64, 64, 10.0)
+        part = PlayerPartition.single(64, 64)
+        calls = self.count_labelings(monkeypatch)
+        result = best_response_dynamics(field, part, 0.0, DynamicsParams(seed=0))
+        assert len(calls) == 303
+        calls.clear()
+        is_nash(result.config, field, part, 0.0)
+        assert len(calls) == 4
 
     def test_unchanged_grid_is_labeled_once(self, monkeypatch):
         calls = self.count_labelings(monkeypatch)
@@ -720,19 +734,64 @@ class TestBoxRelabel:
                                                cost, connectivity)
                     assert gains[j] == want, (part.m, connectivity, cost, j)
 
+    def test_batched_box_gains_equal_whole_grid_relabel(self, monkeypatch):
+        # An infinite guard sends every tree of a one-pass batch through
+        # _box_gains, and a 48-cell strip cap spreads each batch over several
+        # strips, most of several boxes, some of one box larger than the cap.
+        cap = 48
+        monkeypatch.setattr(dynamics, "_CUT_GUARD", np.inf)
+        monkeypatch.setattr(dynamics, "_STRIP_CELLS", cap)
+        strips = []
+        label_strip = dynamics.PlayerScorer._label_strip
+
+        def recorded(scorer, js, boxes):
+            strips[-1].append([(rows.stop - rows.start + 2) * (cols.stop - cols.start + 2)
+                               for rows, cols in boxes])
+            label_strip(scorer, js, boxes)
+
+        monkeypatch.setattr(dynamics.PlayerScorer, "_label_strip", recorded)
+        rng = np.random.default_rng(41)
+        for m in (1, 4):
+            part = PlayerPartition.square_tiling(12, m)
+            for connectivity in (4, 8):
+                for cost in (0.0, 0.3):
+                    p = rng.random((12, 12))
+                    field = LightningField(p / p.sum())
+                    cells = (rng.random((12, 12)) < 0.4).astype(np.uint8)
+                    labeling = label_cells(cells, field.p, connectivity)
+                    for i in range(m):
+                        rows, cols = part.player_cells(i)
+                        s = cells[rows, cols]
+                        assert s.size >= dynamics._ONE_PASS_MIN_CELLS
+                        scorer = dynamics.PlayerScorer(i, cells, field, part, cost,
+                                                       connectivity, labeling)
+                        strips.append([])
+                        gains = scorer.plant_gains(s, range(s.size))
+                        for j in np.flatnonzero(s):
+                            want = self.reference_gain(cells, field, part, int(rows[j]),
+                                                       int(cols[j]), cost, connectivity)
+                            assert gains[j] == want, (m, connectivity, cost, i, j)
+        assert max(len(batch) for batch in strips) > 1
+        assert any(len(boxes) > 1 for batch in strips for boxes in batch)
+        assert any(boxes[0] > cap for batch in strips for boxes in batch if len(boxes) == 1)
+
     def test_box_gains_are_memoized_per_strategy(self, monkeypatch):
         # The strategy held, priced again, reads its removal gains off the
-        # scorer; the caller's labeling is that strategy's.
+        # scorer; the caller's labeling is that strategy's.  The 49 cells are
+        # one one-pass batch, whose 16 local cut cells' boxes share one strip:
+        # one labeling.
         _, cells, part, _, _, connectivity = next(self.cases())
         field = build_uniform_field(*cells.shape)
         scorer = dynamics.PlayerScorer(0, cells, field, part, 0.0, connectivity,
                                        label_cells(cells, field.p, connectivity))
         s = cells.ravel()
+        assert s.size >= dynamics._ONE_PASS_MIN_CELLS
+        assert sum(
+            not dynamics.not_cut_table(connectivity)[ring_of(cells, *divmod(g, cells.shape[1]))]
+            for g in np.flatnonzero(s)) == 16
         calls = TestLabelingCounts.count_labelings(monkeypatch)
         first = scorer.plant_gains(s, range(s.size))
-        assert len(calls) == sum(
-            not dynamics.not_cut_table(connectivity)[ring_of(cells, *divmod(g, cells.shape[1]))]
-            for g in np.flatnonzero(s))
+        assert len(calls) == 1
         calls.clear()
         assert np.array_equal(scorer.plant_gains(s, range(s.size)), first)
         assert calls == []
@@ -1011,8 +1070,8 @@ class TestBlockScorer:
             ks = [7 * v + d for v in range(7 * 16, 8 * 16) for d in (3, 5)]
         else:
             # Doubles 2tn .. 2tn + n - 1 are iteration t's reference
-            # uniforms; 16 cells go through _block_visit, 64 through
-            # PlayerScorer.
+            # uniforms; 16 cells go through opt_sampled_fp's BlockScorer
+            # loop, 64 through its PlayerScorer loop.
             edge, t_opt = (8, 4) if case == "block_16_cells" else (16, 3)
             field = build_gaussian_field(edge, edge, 10.0)
             part = PlayerPartition.square_tiling(edge, 4)

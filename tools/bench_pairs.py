@@ -8,7 +8,9 @@ Pair k runs `perfbench/run.py --trace 0` once in each checkout at the k-th
 seed, the parent first in even pairs and this checkout first in odd ones, so
 a drift of the machine's speed falls on both sides alike.  Every run's last
 line is appended to --out (a JSON list, made if missing) with its workload,
-seed, pair and side.  Then, per end-to-end metric, it prints the parent's
+seed, pair and side, and with its checkout's commit (git rev-parse HEAD) and
+whether a tracked file there differed from it (dirty), so each record says
+which code it measured.  Then, per end-to-end metric, it prints the parent's
 median and quartiles, this checkout's median, the pairs this checkout won
 and tied, whether the gap between the medians exceeds the parent's
 interquartile range, and a verdict against the metric's bound and direction
@@ -46,6 +48,16 @@ def run(checkout: str, workload: str, seed: int, seconds: float) -> dict:
          "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, check=True, capture_output=True, text=True).stdout
     return json.loads(out.strip().splitlines()[-1])
+
+
+def revision(checkout: str) -> dict:
+    """The commit checked out in checkout, and whether a tracked file differs
+    from it."""
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=checkout, check=True,
+                              capture_output=True, text=True).stdout.strip()
+    return {"commit": git("rev-parse", "HEAD"),
+            "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))}
 
 
 def load_bounds() -> dict:
@@ -130,8 +142,8 @@ def main() -> None:
         sides = [("parent", args.parent), ("change", ROOT)]
         for side, checkout in sides[::-1] if pair % 2 else sides:
             records.append({"workload": args.workload, "seed": seed, "pair": pair,
-                            "side": side, "result": run(checkout, args.workload, seed,
-                                                        args.seconds)})
+                            "side": side, **revision(checkout),
+                            "result": run(checkout, args.workload, seed, args.seconds)})
             with open(args.out, "w") as fh:
                 json.dump(records, fh, indent=1)
                 fh.write("\n")
