@@ -205,46 +205,34 @@ def _ring(labels: np.ndarray, y: int, x: int) -> int:
 
 
 @cache
-def not_cut_table(connectivity: int) -> tuple:
+def not_cut_table(connectivity: int) -> np.ndarray:
     """For each 8-bit ring mask of planted cells around a centre, whether the
     centre's planted neighbors under the connectivity lie in at most one
     component of the 3x3 window with the centre cleared.  Such a centre is not
     a local cut cell (Rosenfeld 1970): removing it cannot split its
-    component.  Built on first use, with the grid's own labeling.
+    component.  Built on first use, with the grid's own labeling, as a
+    read-only bool array indexed by a ring mask or an array of them.
     """
-    table = []
+    table = np.zeros(256, dtype=bool)
     for ring in range(256):
         window = np.zeros((3, 3), dtype=np.uint8)
         for bit, (dy, dx) in enumerate(_OFFSETS):
             window[1 + dy, 1 + dx] = ring >> bit & 1
         labels = label_cells(window, np.zeros((3, 3)), connectivity).labels
         neigh = {labels[1 + dy, 1 + dx] for dy, dx in _OFFSETS[:connectivity]}
-        table.append(len(neigh - {0}) <= 1)
-    return tuple(table)
-
-
-@cache
-def _not_cut_mask(connectivity: int) -> np.ndarray:
-    """not_cut_table as a read-only bool array, to look up rings in bulk."""
-    mask = np.array(not_cut_table(connectivity))
-    mask.setflags(write=False)
-    return mask
-
-
-@cache
-def _neighbor_table(height: int, width: int) -> np.ndarray:
-    """(height * width, 8) flat indices of each cell's neighbors, in _OFFSETS
-    order.  An off-grid neighbor is height * width: a slot one past the grid
-    that the caller fills with an empty label.  Read-only."""
-    n = height * width
-    ys, xs = np.divmod(np.arange(n), width)
-    table = np.full((n, 8), n)
-    for k, (dy, dx) in enumerate(_OFFSETS):
-        ny, nx = ys + dy, xs + dx
-        on = (ny >= 0) & (ny < height) & (nx >= 0) & (nx < width)
-        table[on, k] = ny[on] * width + nx[on]
+        table[ring] = len(neigh - {0}) <= 1
     table.setflags(write=False)
     return table
+
+
+@cache
+def _flat_offsets(width: int) -> np.ndarray:
+    """Flat offsets of the neighbors at _OFFSETS, in that order, in a raster
+    of rows width cells wide; read-only.  A raster with an empty border reads
+    every neighbor of its inner cells at them, off-grid ones as empty."""
+    offsets = np.array([dy * width + dx for dy, dx in _OFFSETS])
+    offsets.setflags(write=False)
+    return offsets
 
 
 class PlayerScorer:
@@ -345,16 +333,19 @@ class PlayerScorer:
 
     def _one_pass_gains(self, s: np.ndarray, js) -> np.ndarray:
         """plant_gains in one numpy pass, with s's labeling held.  Each cell's
-        neighbor labels, in _OFFSETS order with repeats zeroed, form the
-        columns of _column_gains, so every gain equals _cell_gains' exactly;
-        the batch's box cells are priced together (_box_gains)."""
-        labeling = self.labeling
+        neighbor labels, read at _flat_offsets through a copy with an empty
+        border as _label_strip reads a strip, in _OFFSETS order with repeats
+        zeroed, form the columns of _column_gains, so every gain equals
+        _cell_gains' exactly; the batch's box cells are priced together."""
+        labeling, conn = self.labeling, self.connectivity
         height, width = labeling.labels.shape
-        conn = self.connectivity
+        labels = np.zeros((height + 2, width + 2), dtype=labeling.labels.dtype)
+        labels[1:-1, 1:-1] = labeling.labels
+        labels = labels.ravel()
         js = np.asarray(js)
-        g = self.rows[js] * width + self.cols[js]
-        labels = np.append(labeling.labels.ravel(), 0)
-        near = labels[_neighbor_table(height, width)[g]]
+        ys, xs = self.rows[js], self.cols[js]
+        g = (ys + 1) * (width + 2) + xs + 1
+        near = labels[np.add.outer(g, _flat_offsets(width + 2))]
         ring = np.packbits(near > 0, axis=1, bitorder="little")[:, 0]
         near = _distinct(near[:, :conn])
         # A planted cell with a neighbor under the connectivity (less) has
@@ -366,11 +357,11 @@ class PlayerScorer:
         near[less, 0] = labels[g[less]]
         mass = np.append(0.0, labeling.masses)[near]
         count = np.append(0, self.own_counts())[near]
-        p = self.p.ravel()[g]
+        p = self.p[ys, xs]
         mass[:, 0] -= p * less
         count[:, 0] -= less
         gains = _column_gains(p, mass, count, self.cost)
-        box = planted & ~(_not_cut_mask(conn)[ring] & (np.abs(gains) > _CUT_GUARD))
+        box = planted & ~(not_cut_table(conn)[ring] & (np.abs(gains) > _CUT_GUARD))
         if box.any():
             gains[box] = self._box_gains(js[box].tolist())
         return gains
@@ -404,7 +395,8 @@ class PlayerScorer:
 
     def _label_strip(self, js: list, boxes: list) -> None:
         """Label one strip of _box_gains, the boxes of cells js left to
-        right, the tallest last, and keep each cell's gain in box_gains."""
+        right, the tallest last, and keep each cell's gain in box_gains; its
+        neighbors are read at _flat_offsets through the strip's empty border."""
         labeling, conn = self.labeling, self.connectivity
         height = boxes[-1][0].stop - boxes[-1][0].start + 2
         width = 1 + sum(cols.stop - cols.start + 1 for _, cols in boxes)
@@ -426,9 +418,7 @@ class PlayerScorer:
         pieces = label_cells(sub, p, conn)
         own = np.bincount(pieces.labels[mine], minlength=pieces.n_components + 1)
         own[0] = 0
-        at = np.array(at)
-        near = _distinct(pieces.labels.ravel()[
-            at[:, None] + np.array([dy * width + dx for dy, dx in _OFFSETS[:conn]])])
+        near = _distinct(pieces.labels.ravel()[np.add.outer(at, _flat_offsets(width)[:conn])])
         gains = _column_gains(p.ravel()[at], np.append(0.0, pieces.masses)[near], own[near],
                               self.cost)
         self.box_gains.update(zip(js, gains.tolist()))

@@ -165,3 +165,28 @@ def test_records_name_each_sides_commit(tmp_path, monkeypatch):
         want = bench_pairs.revision(bench_pairs.ROOT)["commit"] if rec["side"] == "change" else sha
         assert rec["commit"] == want
     assert [r["dirty"] for r in recs if r["side"] == "parent"] == [False, True]
+
+
+def test_uncommitted_trees_read_apart(tmp_path):
+    # Two different edits of a tracked file on one commit give two digests,
+    # one edit gives the same digest each time, and a clean tree has none.
+    def git(*args):
+        return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                              cwd=tmp_path, check=True, capture_output=True, text=True)
+
+    (tmp_path / "code.py").write_text("x = 1\n")
+    git("init", "-q")
+    git("add", "code.py")
+    git("commit", "-q", "-m", "one")
+    sha = git("rev-parse", "HEAD").stdout.strip()
+    clean = bench_pairs.revision(str(tmp_path))
+    assert clean == {"commit": sha, "dirty": False}
+    digests = []
+    for text in ("x = 2\n", "x = 3\n", "x = 2\n"):
+        (tmp_path / "code.py").write_text(text)
+        rev = bench_pairs.revision(str(tmp_path))
+        assert rev["commit"] == sha and rev["dirty"]
+        digests.append(rev["diff_sha256"])
+    assert digests[0] != digests[1] and digests[0] == digests[2]
+    (tmp_path / "code.py").write_text("x = 1\n")
+    assert bench_pairs.revision(str(tmp_path)) == clean

@@ -863,23 +863,30 @@ class TestOnePassGains:
 
     @staticmethod
     def cases():
+        # Square tilings, then one player on grids whose height and width
+        # differ, lines included: a row stride of the wrong side of the grid
+        # reads wrong neighbors only there.
         rng = np.random.default_rng(41)
-        for edge, m in ((8, 1), (8, 4), (16, 1)):
+        grids = [(edge, edge, PlayerPartition.square_tiling(edge, m))
+                 for edge, m in ((8, 1), (8, 4), (16, 1))]
+        grids += [(height, width, PlayerPartition.single(width, height))
+                  for height, width in ((12, 5), (5, 12), (25, 1), (1, 25))]
+        for height, width, part in grids:
             for connectivity in (4, 8):
                 for cost in (0.0, 0.3):
                     for density in (0.4, 0.8):
-                        p = rng.random((edge, edge))
-                        cells = (rng.random((edge, edge)) < density).astype(np.uint8)
-                        yield (cells, LightningField(p / p.sum()),
-                               PlayerPartition.square_tiling(edge, m), connectivity, cost, rng)
+                        p = rng.random((height, width))
+                        cells = (rng.random((height, width)) < density).astype(np.uint8)
+                        yield (cells, LightningField(p / p.sum()), part, connectivity, cost, rng)
 
     @staticmethod
-    def batches(rows, cols, edge, rng):
+    def batches(rows, cols, shape, rng):
         """Every cell, the cells on the grid's boundary, and random batches
         on both sides of the constant."""
         n = rows.size
+        height, width = shape
         yield np.arange(n)
-        yield np.flatnonzero((rows == 0) | (rows == edge - 1) | (cols == 0) | (cols == edge - 1))
+        yield np.flatnonzero((rows == 0) | (rows == height - 1) | (cols == 0) | (cols == width - 1))
         for size in (1, dynamics._ONE_PASS_MIN_CELLS - 1, dynamics._ONE_PASS_MIN_CELLS):
             if size <= n:
                 yield np.sort(rng.choice(n, size, replace=False))
@@ -892,7 +899,7 @@ class TestOnePassGains:
                 for i in range(part.m):
                     rows, cols = part.player_cells(i)
                     s = cells[rows, cols]
-                    for js in self.batches(rows, cols, cells.shape[0], rng):
+                    for js in self.batches(rows, cols, cells.shape, rng):
                         got = []
                         # A scorer each, so neither path reads the other's box
                         # gains; each holds the caller's labeling, that of s.

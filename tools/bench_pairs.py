@@ -8,9 +8,10 @@ Pair k runs `perfbench/run.py --trace 0` once in each checkout at the k-th
 seed, the parent first in even pairs and this checkout first in odd ones, so
 a drift of the machine's speed falls on both sides alike.  Every run's last
 line is appended to --out (a JSON list, made if missing) with its workload,
-seed, pair and side, and with its checkout's commit (git rev-parse HEAD) and
-whether a tracked file there differed from it (dirty), so each record says
-which code it measured.  Then, per end-to-end metric, it prints the parent's
+seed, pair and side, and with its checkout's commit (git rev-parse HEAD),
+whether a tracked file there differed from it (dirty) and, if one did, the
+sha256 of `git diff HEAD --binary` (diff_sha256), so each record says which
+code it measured, committed or not.  Then, per end-to-end metric, it prints the parent's
 median and quartiles, this checkout's median, the pairs this checkout won
 and tied, whether the gap between the medians exceeds the parent's
 interquartile range, and a verdict against the metric's bound and direction
@@ -22,6 +23,7 @@ larger share of its operations than the parent.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import statistics
@@ -51,13 +53,17 @@ def run(checkout: str, workload: str, seed: int, seconds: float) -> dict:
 
 
 def revision(checkout: str) -> dict:
-    """The commit checked out in checkout, and whether a tracked file differs
-    from it."""
+    """The commit checked out in checkout, whether a tracked file differs
+    from it, and if one does the sha256 of that difference: two different
+    uncommitted trees on one commit read apart."""
     def git(*args):
         return subprocess.run(["git", *args], cwd=checkout, check=True,
-                              capture_output=True, text=True).stdout.strip()
-    return {"commit": git("rev-parse", "HEAD"),
-            "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))}
+                              capture_output=True).stdout
+    diff = git("diff", "HEAD", "--binary")
+    rev = {"commit": git("rev-parse", "HEAD").decode().strip(), "dirty": bool(diff)}
+    if diff:
+        rev["diff_sha256"] = hashlib.sha256(diff).hexdigest()
+    return rev
 
 
 def load_bounds() -> dict:
