@@ -184,7 +184,7 @@ _ONE_PASS_MIN_CELLS = 20
 # Neighbor offsets in the order plant gains sum their masses; the first four
 # are the 4-connected ones.  Bit k of a ring mask is the cell at _OFFSETS[k].
 _OFFSETS = ((0, 1), (0, -1), (1, 0), (-1, 0), (1, 1), (1, -1), (-1, 1), (-1, -1))
-# _box_gains packs component boxes into strips of at most this many cells,
+# _strip_gains packs component boxes into strips of at most this many cells,
 # one labeling each; a larger box gets a strip of its own.  A labeling costs
 # about 12 us before its first cell, which a 64x64, m = 1 solve paid on some
 # 3,000 one-box relabels.
@@ -332,96 +332,26 @@ class PlayerScorer:
         return gains
 
     def _one_pass_gains(self, s: np.ndarray, js) -> np.ndarray:
-        """plant_gains in one numpy pass, with s's labeling held.  Each cell's
-        neighbor labels, read at _flat_offsets through a copy with an empty
-        border as _label_strip reads a strip, in _OFFSETS order with repeats
-        zeroed, form the columns of _column_gains, so every gain equals
-        _cell_gains' exactly; the batch's box cells are priced together."""
-        labeling, conn = self.labeling, self.connectivity
-        height, width = labeling.labels.shape
-        labels = np.zeros((height + 2, width + 2), dtype=labeling.labels.dtype)
-        labels[1:-1, 1:-1] = labeling.labels
-        labels = labels.ravel()
+        """plant_gains in one numpy pass (_read_gains), with s's labeling
+        held, so every gain equals _cell_gains' exactly; the batch's box
+        cells are priced together."""
         js = np.asarray(js)
-        ys, xs = self.rows[js], self.cols[js]
-        g = (ys + 1) * (width + 2) + xs + 1
-        near = labels[np.add.outer(g, _flat_offsets(width + 2))]
-        ring = np.packbits(near > 0, axis=1, bitorder="little")[:, 0]
-        near = _distinct(near[:, :conn])
-        # A planted cell with a neighbor under the connectivity (less) has
-        # one column, its component less the cell's p and tree; one without
-        # has none.
-        planted = s[js] != 0
-        near[planted] = 0
-        less = planted & ((ring & ((1 << conn) - 1)) != 0)
-        near[less, 0] = labels[g[less]]
-        mass = np.append(0.0, labeling.masses)[near]
-        count = np.append(0, self.own_counts())[near]
-        p = self.p[ys, xs]
-        mass[:, 0] -= p * less
-        count[:, 0] -= less
-        gains = _column_gains(p, mass, count, self.cost)
-        box = planted & ~(not_cut_table(conn)[ring] & (np.abs(gains) > _CUT_GUARD))
+        counts = np.append(0, self.own_counts())[:, None]
+        gains, box = _read_gains(self.labeling, self.p, self.rows[js], self.cols[js],
+                                 s[js] != 0, counts, 0, self.cost, self.connectivity)
         if box.any():
             gains[box] = self._box_gains(js[box].tolist())
         return gains
 
     def _box_gains(self, js: list) -> list:
-        """_box_gain of each planted cell j in js, distinct, with one
-        labeling per strip of packed boxes.  Each cell not yet priced puts its
-        component's box, the cell cleared, into a strip: boxes side by side
-        with an empty column between them and an empty border, so no piece
-        spans two boxes and a cell's neighbors off its box read empty.
-        Sorted by height, boxes of one strip pad little.  Within a piece the
-        strip's raster order is its box's, so bincount sums the masses of
-        _box_gain bit for bit."""
-        box_gains, labeling = self.box_gains, self.labeling
+        """_box_gain of each planted cell j in js, distinct: those not yet
+        priced go into strips of packed boxes together (_strip_gains)."""
+        box_gains = self.box_gains
         new = [j for j in js if j not in box_gains]
-        boxes = [labeling.boxes[labeling.labels.item(self.ys[j], self.xs[j]) - 1]
-                 for j in new]
-        order = sorted(range(len(new)), key=lambda k: boxes[k][0].stop - boxes[k][0].start)
-        # width: the last strip's columns right of its left border.
-        strips, width = [], 0
-        for k in order:
-            rows, cols = boxes[k]
-            width += cols.stop - cols.start + 1
-            if not strips or (rows.stop - rows.start + 2) * (1 + width) > _STRIP_CELLS:
-                strips.append([])
-                width = cols.stop - cols.start + 1
-            strips[-1].append(k)
-        for strip in strips:
-            self._label_strip([new[k] for k in strip], [boxes[k] for k in strip])
+        box_gains.update(zip(new, _strip_gains(
+            self.labeling, self.p, self.owner, [(self.ys[j], self.xs[j]) for j in new],
+            self.cost, self.connectivity)))
         return [box_gains[j] for j in js]
-
-    def _label_strip(self, js: list, boxes: list) -> None:
-        """Label one strip of _box_gains, the boxes of cells js left to
-        right, the tallest last, and keep each cell's gain in box_gains; its
-        neighbors are read at _flat_offsets through the strip's empty border."""
-        labeling, conn = self.labeling, self.connectivity
-        height = boxes[-1][0].stop - boxes[-1][0].start + 2
-        width = 1 + sum(cols.stop - cols.start + 1 for _, cols in boxes)
-        sub = np.zeros((height, width), dtype=bool)
-        p = np.zeros((height, width))
-        mine = np.zeros((height, width), dtype=bool)
-        at, x0 = [], 1
-        for j, box in zip(js, boxes):
-            y, x = self.ys[j], self.xs[j]
-            rows, cols = box
-            dst = (slice(1, 1 + rows.stop - rows.start), slice(x0, x0 + cols.stop - cols.start))
-            np.equal(labeling.labels[box], labeling.labels.item(y, x), out=sub[dst])
-            p[dst] = self.p[box]
-            np.equal(self.owner[box], self.i, out=mine[dst])
-            y, x = 1 + y - rows.start, x0 + x - cols.start
-            sub[y, x] = False
-            at.append(y * width + x)
-            x0 += cols.stop - cols.start + 1
-        pieces = label_cells(sub, p, conn)
-        own = np.bincount(pieces.labels[mine], minlength=pieces.n_components + 1)
-        own[0] = 0
-        near = _distinct(pieces.labels.ravel()[np.add.outer(at, _flat_offsets(width)[:conn])])
-        gains = _column_gains(p.ravel()[at], np.append(0.0, pieces.masses)[near], own[near],
-                              self.cost)
-        self.box_gains.update(zip(js, gains.tolist()))
 
     def _box_gain(self, j: int) -> float:
         """Plant gain of planted cell j of the held strategy off a labeling of
@@ -461,6 +391,132 @@ class PlayerScorer:
         mass_at, own_at = labeling.masses.item, own.item
         return _plant_gain(p_j, [(mass_at(lab - 1), own_at(lab - 1)) for lab in neigh],
                            self.cost)
+
+
+def _read_gains(labeling, p: np.ndarray, ys: np.ndarray, xs: np.ndarray,
+                planted: np.ndarray, counts, owners, cost: float, conn: int):
+    """Plant gains of cells (ys, xs), planted where planted is set, read off
+    labeling in one numpy pass for each cell's owner: counts[labels, owners],
+    owners a column of the cells' owners or one scalar, gives the trees of
+    each row's owner per component, 0 for label 0.  Each cell's neighbor
+    labels, read at _flat_offsets through a copy with an empty border as
+    _label_strip reads a strip, in _OFFSETS order with repeats zeroed, form
+    the columns of _column_gains, so every gain equals the cell loop's
+    exactly.  Returns the gains and the mask of the box cells, whose gains
+    are left for _strip_gains: local cut cells and removals within
+    _CUT_GUARD of 0."""
+    height, width = labeling.labels.shape
+    labels = np.zeros((height + 2, width + 2), dtype=labeling.labels.dtype)
+    labels[1:-1, 1:-1] = labeling.labels
+    labels = labels.ravel()
+    g = (ys + 1) * (width + 2) + xs + 1
+    near = labels[np.add.outer(g, _flat_offsets(width + 2))]
+    ring = np.packbits(near > 0, axis=1, bitorder="little")[:, 0]
+    near = _distinct(near[:, :conn])
+    # A planted cell with a neighbor under the connectivity (less) has one
+    # column, its component less the cell's p and tree; one without has none.
+    near[planted] = 0
+    less = planted & ((ring & ((1 << conn) - 1)) != 0)
+    near[less, 0] = labels[g[less]]
+    mass = np.append(0.0, labeling.masses)[near]
+    count = counts[near, owners]
+    p = p[ys, xs]
+    mass[:, 0] -= p * less
+    count[:, 0] -= less
+    gains = _column_gains(p, mass, count, cost)
+    return gains, planted & ~(not_cut_table(conn)[ring] & (np.abs(gains) > _CUT_GUARD))
+
+
+class _PairCounts:
+    """Trees per (component, owner) of a labeling, held as the sorted keys
+    label * m + owner of the pairs that hold trees, with their counts, and
+    read as counts[labels, owners] with 0 for absent pairs."""
+
+    def __init__(self, labels: np.ndarray, owner: np.ndarray, m: int) -> None:
+        planted = labels > 0
+        self.m = m
+        self.keys, self.counts = np.unique(labels[planted] * np.int64(m) + owner[planted],
+                                           return_counts=True)
+
+    def __getitem__(self, index) -> np.ndarray:
+        labels, owners = index
+        key = labels * np.int64(self.m) + owners
+        at = np.minimum(np.searchsorted(self.keys, key), len(self.keys) - 1)
+        return np.where(self.keys[at] == key, self.counts[at], 0)
+
+
+def _tree_counts(labeling, part: PlayerPartition):
+    """Every owner's trees per component of labeling, read as
+    counts[labels, owners] with 0 for label 0, in O(N) memory: a dense
+    (components + 1, m) table when it holds at most 8 counts a cell, as the
+    pass's (N, 8) neighbor array does, else the sparse _PairCounts."""
+    labels, m = labeling.labels, part.m
+    size = (labeling.n_components + 1) * m
+    if size > 8 * labels.size:
+        return _PairCounts(labels, part.owner, m)
+    counts = np.bincount((labels * m + part.owner).ravel(), minlength=size).reshape(-1, m)
+    counts[0] = 0
+    return counts
+
+
+def _strip_gains(labeling, p: np.ndarray, owner: np.ndarray, cells: list, cost: float,
+                 conn: int) -> list:
+    """Plant gain of each planted cell (y, x) in cells of labeling, distinct,
+    for the cell's owner, off a labeling of its component's bounding box with
+    the cell cleared (the cell loop's _box_gain), with one labeling per strip
+    of packed boxes.  Each cell puts its component's box, the cell cleared,
+    into a strip: boxes side by side with an empty column between them and an
+    empty border, so no piece spans two boxes and a cell's neighbors off its
+    box read empty.  Sorted by height, boxes of one strip pad little.  Within
+    a piece the strip's raster order is its box's, so bincount sums the
+    masses of _box_gain bit for bit."""
+    boxes = [labeling.boxes[labeling.labels.item(y, x) - 1] for y, x in cells]
+    order = sorted(range(len(boxes)), key=lambda k: boxes[k][0].stop - boxes[k][0].start)
+    # width: the last strip's columns right of its left border.
+    strips, width = [], 0
+    for k in order:
+        rows, cols = boxes[k]
+        width += cols.stop - cols.start + 1
+        if not strips or (rows.stop - rows.start + 2) * (1 + width) > _STRIP_CELLS:
+            strips.append([])
+            width = cols.stop - cols.start + 1
+        strips[-1].append(k)
+    gains = [0.0] * len(boxes)
+    for strip in strips:
+        for k, gain in zip(strip, _label_strip(labeling, p, owner, [cells[k] for k in strip],
+                                               [boxes[k] for k in strip], cost, conn)):
+            gains[k] = gain
+    return gains
+
+
+def _label_strip(labeling, p: np.ndarray, owner: np.ndarray, cells: list, boxes: list,
+                 cost: float, conn: int) -> list:
+    """Label one strip of _strip_gains, the boxes of cells left to right,
+    the tallest last, each with its cell's owner's trees, and return each
+    cell's gain; its neighbors are read at _flat_offsets through the strip's
+    empty border."""
+    height = boxes[-1][0].stop - boxes[-1][0].start + 2
+    width = 1 + sum(cols.stop - cols.start + 1 for _, cols in boxes)
+    sub = np.zeros((height, width), dtype=bool)
+    strip_p = np.zeros((height, width))
+    mine = np.zeros((height, width), dtype=bool)
+    at, x0 = [], 1
+    for (y, x), box in zip(cells, boxes):
+        rows, cols = box
+        dst = (slice(1, 1 + rows.stop - rows.start), slice(x0, x0 + cols.stop - cols.start))
+        np.equal(labeling.labels[box], labeling.labels.item(y, x), out=sub[dst])
+        strip_p[dst] = p[box]
+        np.equal(owner[box], owner.item(y, x), out=mine[dst])
+        y, x = 1 + y - rows.start, x0 + x - cols.start
+        sub[y, x] = False
+        at.append(y * width + x)
+        x0 += cols.stop - cols.start + 1
+    pieces = label_cells(sub, strip_p, conn)
+    own = np.bincount(pieces.labels[mine], minlength=pieces.n_components + 1)
+    own[0] = 0
+    near = _distinct(pieces.labels.ravel()[np.add.outer(at, _flat_offsets(width)[:conn])])
+    return _column_gains(strip_p.ravel()[at], np.append(0.0, pieces.masses)[near], own[near],
+                         cost).tolist()
 
 
 def _distinct(near: np.ndarray) -> np.ndarray:
@@ -819,25 +875,43 @@ class NashCheck:
     profitable_flips: int | None = None
 
 
+def _flip_gains(config: GridConfig, field, part: PlayerPartition, cost: float,
+                connectivity: int, labeling) -> np.ndarray:
+    """Each cell's single-flip gain for its owner, row-major: the plant gain
+    of an empty cell, less that of a planted one, every cell read off
+    labeling in one pass (_read_gains) against one table of trees per
+    (component, owner) (_tree_counts), and the box cells of every player
+    relabeled together in strips (_strip_gains)."""
+    planted = config.cells.ravel() != 0
+    ys, xs = np.divmod(np.arange(config.n_cells), config.width)
+    planting, box = _read_gains(labeling, field.p, ys, xs, planted, _tree_counts(labeling, part),
+                                part.owner.reshape(-1, 1), cost, connectivity)
+    if box.any():
+        planting[box] = _strip_gains(labeling, field.p, part.owner,
+                                     list(zip(ys[box].tolist(), xs[box].tolist())), cost,
+                                     connectivity)
+    return np.where(planted, -planting, planting)
+
+
 def is_nash(config: GridConfig, field, part: PlayerPartition, cost: float,
             scope: str = "single_flip", connectivity: int = 4) -> NashCheck:
     """Check whether any in-scope unilateral deviation improves some
     player's utility by more than NASH_TOL.
 
-    scope "single_flip" tries every one-cell change through one PlayerScorer
-    per player, seeded with the labeling of the base grid.  A flip is priced
-    by the local plant gain on the labeling with the cell empty (negated for
-    removing a tree): planting reads the base labeling; removing a tree that
-    is not a local cut cell reads it too, its component less the tree, and
-    only removing a local cut cell, or a tree whose gain lies within
-    _CUT_GUARD of 0, relabels the bounding box of the tree's component with
-    that cell cleared.  The guard keeps the sign of every gain that of the
-    relabeled masses.  A player's flips are one plant_gains batch: one numpy
-    pass for a player of at least _ONE_PASS_MIN_CELLS cells, whose box
-    relabels are one labeling per strip of packed boxes, and the cell loop
-    for a smaller one.  max_gain may differ from a difference of two
-    utilities by rounding; the witness is the first cell, row-major, that
-    attains it.  "exhaustive" tries every strategy of every player, refused
+    scope "single_flip" tries every one-cell change of every player in one
+    pass over the labeling of the base grid (_flip_gains), with no scorer
+    per player.  A flip is priced by the owner's local plant gain on the
+    labeling with the cell empty (negated for removing a tree): planting
+    reads the base labeling; removing a tree that is not a local cut cell
+    reads it too, its component less the tree, and only removing a local cut
+    cell, or a tree whose gain lies within _CUT_GUARD of 0, relabels the
+    bounding box of the tree's component with that cell cleared.  The guard
+    keeps the sign of every gain that of the relabeled masses.  Those boxes,
+    of every player, are labeled one strip of packed boxes at a time.  Each
+    gain equals, bit for bit, a PlayerScorer's plant_gains for the owner.
+    max_gain may differ from a difference of two utilities by rounding; the
+    witness is the first cell, row-major, that attains it.  "exhaustive"
+    tries every strategy of every player, refused
     for players with more than 16 cells, through one BlockScorer per player
     in product((0, 1), repeat=n) order; BlockScorer.improves keeps the first
     best, whose exact utility less the player's is its gain and whose bits
@@ -849,14 +923,9 @@ def is_nash(config: GridConfig, field, part: PlayerPartition, cost: float,
         raise ValueError(f"unknown deviation scope {scope!r}")
     labeling = label_components(config, field, connectivity)
     if scope == "single_flip":
-        flip_gains = np.empty((config.height, config.width))
-        for i in range(part.m):
-            scorer = PlayerScorer(i, config.cells, field, part, cost, connectivity, labeling)
-            s = config.cells[scorer.rows, scorer.cols]
-            planting = scorer.plant_gains(s, np.arange(s.size))
-            flip_gains[scorer.rows, scorer.cols] = np.where(s, -planting, planting)
+        flip_gains = _flip_gains(config, field, part, cost, connectivity, labeling)
         g = int(np.argmax(flip_gains))
-        max_gain = float(flip_gains.flat[g])
+        max_gain = float(flip_gains[g])
         return NashCheck(max_gain <= NASH_TOL, max_gain, (int(part.owner.flat[g]), ("flip", g)),
                          int((flip_gains > NASH_TOL).sum()))
     max_gain, witness = -np.inf, None

@@ -21,11 +21,14 @@ EIGHT_NEIGHBOR = np.ones((3, 3), dtype=np.uint8)
 
 
 def neighbor_structure(connectivity: int) -> np.ndarray:
-    if connectivity == 4:
-        return FOUR_NEIGHBOR
-    if connectivity == 8:
-        return EIGHT_NEIGHBOR
-    raise ValueError(f"connectivity must be 4 or 8, got {connectivity}")
+    """The labeling structure of connectivity, the integer 4 or 8: a float
+    such as 4.0 or a bool is refused, as the scorers shift and slice by it."""
+    if isinstance(connectivity, (int, np.integer)) and not isinstance(connectivity, bool):
+        if connectivity == 4:
+            return FOUR_NEIGHBOR
+        if connectivity == 8:
+            return EIGHT_NEIGHBOR
+    raise ValueError(f"connectivity must be 4 or 8, got {connectivity!r}")
 
 
 class GridConfig:

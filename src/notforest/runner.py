@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .dynamics import DynamicsParams, best_response_dynamics, is_nash
-from .grid import PlayerPartition
+from .grid import PlayerPartition, neighbor_structure
 from .lightning import build_gaussian_field
 from .metrics import (
     cascade_distribution,
@@ -105,8 +105,10 @@ class ExperimentConfig:
             raise ValueError("fragility_trials must be >= 0")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.neighborhood not in (4, 8):
-            raise ValueError("neighborhood must be 4 or 8")
+        try:
+            neighbor_structure(self.neighborhood)
+        except ValueError:
+            raise ValueError(f"neighborhood must be 4 or 8, got {self.neighborhood!r}") from None
         for m, (t_br, t_opt) in self.iteration_overrides.items():
             if m not in self.m_values:
                 raise ValueError(f"iteration override for absent m={m}")

@@ -2,6 +2,7 @@
 best-response loop, and the equilibrium certifier."""
 
 import hashlib
+from functools import cache
 
 import numpy as np
 import pytest
@@ -90,6 +91,16 @@ class TestDynamicsParams:
             DynamicsParams(t_br=0).validate()
         with pytest.raises(ValueError):
             DynamicsParams(connectivity=6).validate()
+
+    @pytest.mark.parametrize("connectivity", [4.0, True])
+    def test_connectivity_must_be_the_integer_4_or_8(self, connectivity):
+        # 4.0 == 4 and True == 1, yet the scorers shift and slice by it.
+        with pytest.raises(ValueError, match="connectivity must be 4 or 8"):
+            DynamicsParams(connectivity=connectivity).validate()
+        field = build_uniform_field(4, 4)
+        with pytest.raises(ValueError, match="connectivity must be 4 or 8"):
+            is_nash(GridConfig.full(4, 4), field, PlayerPartition.per_cell(4, 4), 0.0,
+                    connectivity=connectivity)
 
 
 class TestOptSampledFP:
@@ -467,6 +478,51 @@ def test_golden_single_flip_scan_of_a_large_player():
         assert got == pinned, (connectivity, cost)
 
 
+@cache
+def final_grid(edge, v, m, cost):
+    """The field, partition and final grid of a default run at seed 0."""
+    field = build_gaussian_field(edge, edge, v)
+    part = PlayerPartition.square_tiling(edge, m)
+    return field, part, best_response_dynamics(field, part, cost, DynamicsParams(seed=0)).config
+
+
+def test_golden_single_flip_scans_of_many_players():
+    # The final grids of default 16x16, v = 10 runs and of the 32x32,
+    # v = 100, m = 1024 run, each scanned at its own cost: the grid's
+    # sha256, max_gain to the last digit, its witness and the count of
+    # profitable flips.  Recorded while each player's flips were priced by a
+    # PlayerScorer of their own.
+    want = {
+        (16, 10.0, 4, 0.0): (
+            "bd05ba3f58499cac782ed9be09ca11856effaf4198fe7041fe1d9e3ed0c5e81e",
+            "0.9472923409414942", (3, ("flip", 248)), 3),
+        (16, 10.0, 4, 0.25): (
+            "04d65eb76d066f2bbe16323895dffd4c175616f91e371ffc338121c6fba57c1d",
+            "-0.03975464715485705", (0, ("flip", 64)), 0),
+        (16, 10.0, 16, 0.0): (
+            "c796e79011b24cd090632c18712a6cdd564d4df77feae7f9983d53436bbf3d14",
+            "-0.18896902007302396", (0, ("flip", 1)), 0),
+        (16, 10.0, 16, 0.25): (
+            "2659f583d9082a36ea4a97a1f10537a3588129442d7f5db4530bbaeac895ec1e",
+            "-0.06364979302369939", (4, ("flip", 83)), 0),
+        (16, 10.0, 256, 0.0): (
+            "7b4d73c84bb145b0cab4320a2a7ac315d0c17bba095f78f35b31c6d98419da7a",
+            "-2.220446049250313e-16", (247, ("flip", 247)), 0),
+        (16, 10.0, 256, 0.25): (
+            "4e21efad66e98cb447929de64ace6ca3559dd03eeef2b88ff7b04fce191932d9",
+            "-0.00016578668532296614", (0, ("flip", 0)), 0),
+        (32, 100.0, 1024, 0.0): (
+            "5a648d8015900d89664e00e125df179636301a2d8fa191c1aa2bd9358ea53a69",
+            "-1.4432899320127035e-15", (38, ("flip", 38)), 0),
+    }
+    for key, pinned in want.items():
+        field, part, config = final_grid(*key)
+        check = is_nash(config, field, part, key[3])
+        got = (hashlib.sha256(config.cells.tobytes()).hexdigest(), repr(check.max_gain),
+               check.witness, check.profitable_flips)
+        assert got == pinned, key
+
+
 class TestLabelingCounts:
     """Each grid state is labeled once: count scipy.ndimage.label calls."""
 
@@ -531,7 +587,8 @@ class TestLabelingCounts:
     def test_single_flip_scan_labels_base_once(self, monkeypatch):
         # The base grid is labeled once; planting a tree reads the base
         # labeling, and so does removing one that is not a local cut cell.
-        # Only removing a local cut cell needs the labeling with it empty.
+        # Only removing a local cut cell needs the labeling with it empty:
+        # one strip holds the boxes of all of them on this 8x8 grid.
         field, part, result = self.run_without_visits()
         planted = best_response_dynamics(field, part, 0.0,
                                          DynamicsParams(seed=0, t_br=3)).config
@@ -542,8 +599,21 @@ class TestLabelingCounts:
             is_nash(config, field, part, 0.0)
             cut = sum(not local_non_cut(ring_of(config.cells, y, x), 4)
                       for y, x in zip(*np.nonzero(config.cells)))
-            assert len(calls) == 1 + cut
-        assert len(calls) < 1 + planted.planted_count
+            assert len(calls) == 1 + (cut > 0)
+        assert cut > 0 and len(calls) < 1 + planted.planted_count
+
+    def test_many_player_scan_labels_boxes_in_strips(self, monkeypatch):
+        # Every player's box cells share the strips.  Each of the 1,024 trees
+        # of the 32x32, m = 1024 grid is a near tie whose box is the whole
+        # grid: 29 such boxes fill a strip, so 36 strips.  A scorer per
+        # player labeled these grids 1,025 and 33 times.
+        want = {(32, 100.0, 1024, 0.0): 1 + 36, (16, 10.0, 256, 0.25): 2}
+        grids = {key: final_grid(*key) for key in want}
+        calls = self.count_labelings(monkeypatch)
+        for key, (field, part, config) in grids.items():
+            calls.clear()
+            is_nash(config, field, part, key[3])
+            assert len(calls) == want[key], key
 
     def test_visit_reuses_callers_labeling(self, monkeypatch):
         # A 16-cell player's visit scores every strategy against the grid
@@ -742,14 +812,14 @@ class TestBoxRelabel:
         monkeypatch.setattr(dynamics, "_CUT_GUARD", np.inf)
         monkeypatch.setattr(dynamics, "_STRIP_CELLS", cap)
         strips = []
-        label_strip = dynamics.PlayerScorer._label_strip
+        label_strip = dynamics._label_strip
 
-        def recorded(scorer, js, boxes):
+        def recorded(labeling, p, owner, cells, boxes, cost, connectivity):
             strips[-1].append([(rows.stop - rows.start + 2) * (cols.stop - cols.start + 2)
                                for rows, cols in boxes])
-            label_strip(scorer, js, boxes)
+            return label_strip(labeling, p, owner, cells, boxes, cost, connectivity)
 
-        monkeypatch.setattr(dynamics.PlayerScorer, "_label_strip", recorded)
+        monkeypatch.setattr(dynamics, "_label_strip", recorded)
         rng = np.random.default_rng(41)
         for m in (1, 4):
             part = PlayerPartition.square_tiling(12, m)
@@ -923,6 +993,85 @@ class TestOnePassGains:
         for size in (1, dynamics._ONE_PASS_MIN_CELLS - 1, dynamics._ONE_PASS_MIN_CELLS, 64):
             scorer.plant_gains(cells.ravel(), range(size))
         assert taken == ["_cell_gains"] * 2 + ["_one_pass_gains"] * 2
+
+
+class TestCrossPlayerPass:
+    """is_nash prices every player's flips in one pass: its flip gains,
+    max_gain, witness and profitable flips equal, with ==, those of a scan
+    that prices each player's flips with a PlayerScorer of their own."""
+
+    @staticmethod
+    def per_player_flip_gains(config, field, part, cost, connectivity):
+        labeling = label_cells(config.cells, field.p, connectivity)
+        flip = np.empty((config.height, config.width))
+        for i in range(part.m):
+            scorer = dynamics.PlayerScorer(i, config.cells, field, part, cost, connectivity,
+                                           labeling)
+            s = config.cells[scorer.rows, scorer.cols]
+            planting = scorer.plant_gains(s, np.arange(s.size))
+            flip[scorer.rows, scorer.cols] = np.where(s, -planting, planting)
+        return flip.ravel()
+
+    @staticmethod
+    def partitions():
+        for edge, ms in ((8, (1, 4, 16, 64)), (16, (1, 4, 16, 64, 256))):
+            for m in ms:
+                yield PlayerPartition.square_tiling(edge, m)
+        for width, height in ((6, 5), (12, 1), (1, 12)):
+            yield PlayerPartition.per_cell(width, height)
+        # Player 1 holds a ring; player 0 holds the cells outside and inside
+        # it, two pieces.
+        owner = np.zeros((9, 9), dtype=np.int64)
+        owner[2:7, 2:7] = 1
+        owner[3:6, 3:6] = 0
+        yield PlayerPartition(owner, 2)
+
+    def test_one_pass_equals_per_player_scan(self, monkeypatch):
+        rng = np.random.default_rng(51)
+        sparse = []
+        for guard in (dynamics._CUT_GUARD, np.inf):
+            monkeypatch.setattr(dynamics, "_CUT_GUARD", guard)
+            for part in self.partitions():
+                for connectivity in (4, 8):
+                    for cost in (0.0, 0.3):
+                        for density in (0.3, 0.6, 0.9):
+                            p = rng.random((part.height, part.width))
+                            field = LightningField(p / p.sum())
+                            config = GridConfig((rng.random(p.shape) < density).astype(np.uint8))
+                            want = self.per_player_flip_gains(config, field, part, cost,
+                                                              connectivity)
+                            labeling = label_cells(config.cells, field.p, connectivity)
+                            sparse.append(isinstance(dynamics._tree_counts(labeling, part),
+                                                     dynamics._PairCounts))
+                            got = dynamics._flip_gains(config, field, part, cost, connectivity,
+                                                       labeling)
+                            case = (part.width, part.height, part.m, connectivity, cost,
+                                    density, guard)
+                            assert (got == want).all(), case
+                            g = int(np.argmax(want))
+                            check = is_nash(config, field, part, cost, connectivity=connectivity)
+                            assert (repr(check.max_gain), check.witness,
+                                    check.profitable_flips) == (
+                                repr(float(want[g])), (int(part.owner.flat[g]), ("flip", g)),
+                                int((want > dynamics.NASH_TOL).sum())), case
+            monkeypatch.undo()
+        # Both forms of the (component, owner) tree counts were read.
+        assert any(sparse) and not all(sparse)
+
+    def test_tree_counts_stay_within_the_grid(self):
+        # One player per cell on a 128x128 grid: a dense table would hold
+        # (components + 1) * 16384 counts; the sparse one holds one per tree.
+        part = PlayerPartition.per_cell(128, 128)
+        cells = (np.random.default_rng(7).random((128, 128)) < 0.5).astype(np.uint8)
+        labeling = label_cells(cells, build_uniform_field(128, 128).p, 4)
+        counts = dynamics._tree_counts(labeling, part)
+        assert isinstance(counts, dynamics._PairCounts)
+        assert counts.keys.size == cells.sum() and (counts.counts == 1).all()
+        # Player o's one tree is in component k when cell o is labeled k.
+        labels = labeling.labels.ravel()
+        for owners in (part.owner.ravel(), np.roll(part.owner.ravel(), 129)):
+            got = counts[labels[:, None], owners[:, None]][:, 0]
+            assert (got == ((labels[owners] == labels) & (labels > 0))).all()
 
 
 class TestBlockScorer:

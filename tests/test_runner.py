@@ -94,6 +94,10 @@ class TestValidateAndLoad:
             ExperimentConfig(workers=0).validate()
         with pytest.raises(ValueError):
             ExperimentConfig(neighborhood=5).validate()
+        # 4.0 == 4 and True == 1, yet the scorers shift and slice by it.
+        for neighborhood in (4.0, True):
+            with pytest.raises(ValueError, match="neighborhood must be 4 or 8"):
+                ExperimentConfig(neighborhood=neighborhood).validate()
         for key, name, value in (("c_values", "c", math.inf), ("c_values", "c", math.nan),
                                  ("v_values", "v", math.inf), ("v_values", "v", math.nan),
                                  ("fines", "fines", math.inf), ("fines", "fines", math.nan)):
