@@ -257,7 +257,7 @@ class PlayerScorer:
     def _hold(self, s: np.ndarray, labeling) -> None:
         self.key, self.labeling = s.tobytes(), labeling
         self.counts = None
-        self.box_gains: dict[int, float] = {}
+        self.box_gains: dict[tuple, float] = {}
 
     def labeled(self, s: np.ndarray):
         """The labeling of s, which the scorer then holds."""
@@ -292,18 +292,30 @@ class PlayerScorer:
         player's.  Those masses differ from a relabel's by rounding, so such a
         gain within _CUT_GUARD of 0, and every gain of a local cut cell, is
         read off a relabel of the bounding box of j's component with j cleared
-        (_box_gain) instead; every gain's sign is then the relabeled masses'.
+        instead; every gain's sign is then the relabeled masses'.
 
         A batch of at least _ONE_PASS_MIN_CELLS cells is priced in one numpy
-        pass (_one_pass_gains), which labels all its boxes at once, packed
-        into strips (_box_gains); a smaller one is priced cell by cell
-        (_cell_gains), one box relabel per box cell.  The two give the same
-        gains bit for bit.
+        pass (_read_gains), and its box cells not yet in box_gains are
+        relabeled together, packed into strips (_strip_gains); a smaller one
+        is priced cell by cell (_cell_gains), one box relabel per box cell
+        (_box_gain).  The two give the same gains bit for bit and share
+        box_gains, keyed by grid cell, for the labeling held.
         """
-        self.labeled(s)
-        if len(js) >= _ONE_PASS_MIN_CELLS:
-            return self._one_pass_gains(s, js)
-        return self._cell_gains(s, js)
+        labeling = self.labeled(s)
+        if len(js) < _ONE_PASS_MIN_CELLS:
+            return self._cell_gains(s, js)
+        js = np.asarray(js)
+        gains, box = _read_gains(labeling, self.p, self.rows[js], self.cols[js], s[js] != 0,
+                                 np.append(0, self.own_counts())[:, None], 0, self.cost,
+                                 self.connectivity)
+        if box.any():
+            memo = self.box_gains
+            cells = list(zip(self.rows[js[box]].tolist(), self.cols[js[box]].tolist()))
+            new = [cell for cell in cells if cell not in memo]
+            memo.update(zip(new, _strip_gains(labeling, self.p, self.owner, new, self.cost,
+                                              self.connectivity)))
+            gains[box] = [memo[cell] for cell in cells]
+        return gains
 
     def _cell_gains(self, s: np.ndarray, js) -> np.ndarray:
         """plant_gains, one cell at a time, with s's labeling held."""
@@ -328,41 +340,19 @@ class PlayerScorer:
                 if abs(gain) > _CUT_GUARD:
                     gains[k] = gain
                     continue
-            gains[k] = self._box_gain(j)
+            gains[k] = self._box_gain(y, x)
         return gains
 
-    def _one_pass_gains(self, s: np.ndarray, js) -> np.ndarray:
-        """plant_gains in one numpy pass (_read_gains), with s's labeling
-        held, so every gain equals _cell_gains' exactly; the batch's box
-        cells are priced together."""
-        js = np.asarray(js)
-        counts = np.append(0, self.own_counts())[:, None]
-        gains, box = _read_gains(self.labeling, self.p, self.rows[js], self.cols[js],
-                                 s[js] != 0, counts, 0, self.cost, self.connectivity)
-        if box.any():
-            gains[box] = self._box_gains(js[box].tolist())
-        return gains
-
-    def _box_gains(self, js: list) -> list:
-        """_box_gain of each planted cell j in js, distinct: those not yet
-        priced go into strips of packed boxes together (_strip_gains)."""
-        box_gains = self.box_gains
-        new = [j for j in js if j not in box_gains]
-        box_gains.update(zip(new, _strip_gains(
-            self.labeling, self.p, self.owner, [(self.ys[j], self.xs[j]) for j in new],
-            self.cost, self.connectivity)))
-        return [box_gains[j] for j in js]
-
-    def _box_gain(self, j: int) -> float:
-        """Plant gain of planted cell j of the held strategy off a labeling of
-        its component's bounding box with the cell cleared, kept until the
-        scorer relabels.  bincount sums each piece's mass in the grid's raster
-        order restricted to the box: a grid relabel's.  The cell loop's path:
-        its few box cells a call would pay more for a strip (_box_gains)
-        than for a labeling each."""
-        gain = self.box_gains.get(j)
+    def _box_gain(self, y: int, x: int) -> float:
+        """Plant gain of the held strategy's planted cell (y, x) off a
+        labeling of its component's bounding box with the cell cleared, kept
+        in box_gains until the scorer relabels.  bincount sums each piece's
+        mass in the grid's raster order restricted to the box: a grid
+        relabel's.  The cell loop's path: its few box cells a call would pay
+        more for a strip (_strip_gains) than for a labeling each."""
+        gain = self.box_gains.get((y, x))
         if gain is None:
-            labeling, y, x = self.labeling, self.ys[j], self.xs[j]
+            labeling = self.labeling
             lab = labeling.labels.item(y, x)
             box = labeling.boxes[lab - 1]
             y0, x0 = box[0].start, box[1].start
@@ -371,8 +361,8 @@ class PlayerScorer:
             pieces = label_cells(sub, self.p[box], self.connectivity)
             own = np.bincount(pieces.labels[self.owner[box] == self.i],
                               minlength=pieces.n_components + 1)[1:]
-            gain = self.box_gains[j] = self._gain_next_to(pieces, own, y - y0, x - x0,
-                                                          self.p.item(y, x))
+            gain = self.box_gains[y, x] = self._gain_next_to(pieces, own, y - y0, x - x0,
+                                                             self.p.item(y, x))
         return gain
 
     def _gain_next_to(self, labeling, own: np.ndarray, y: int, x: int, p_j: float) -> float:

@@ -41,12 +41,13 @@ class GridConfig:
     __slots__ = ("width", "height", "cells")
 
     def __init__(self, cells) -> None:
-        arr = np.ascontiguousarray(cells, dtype=np.uint8)
+        # Checked as given: a cast to uint8 would truncate 0.5 and wrap 256.
+        arr = np.asarray(cells)
         if arr.ndim != 2:
             raise ValueError("cells must be a 2-D array")
         if not ((arr == 0) | (arr == 1)).all():
             raise ValueError("cells must contain only 0 and 1")
-        arr = arr.copy()
+        arr = arr.astype(np.uint8, order="C")
         arr.setflags(write=False)
         self.cells = arr
         self.height, self.width = arr.shape
@@ -110,12 +111,17 @@ class PlayerPartition:
     __slots__ = ("owner", "m", "width", "height", "_starts", "_order")
 
     def __init__(self, owner, m: int) -> None:
-        owner = np.ascontiguousarray(owner, dtype=np.int64)
+        given = np.asarray(owner)
+        with np.errstate(invalid="ignore"):
+            owner = np.ascontiguousarray(given, dtype=np.int64)
         if owner.ndim != 2:
             raise ValueError("owner must be a 2-D array")
         flat = owner.ravel()
-        counts = np.bincount(flat, minlength=m)
-        if flat.min() < 0 or flat.max() >= m or (counts == 0).any():
+        # An owner the cast changes, such as 0.5, is no player index.
+        valid = ((owner is given or np.array_equal(owner, given))
+                 and 0 <= flat.min() and flat.max() < m)
+        counts = np.bincount(flat, minlength=m) if valid else None
+        if not valid or (counts == 0).any():
             raise ValueError("owner map must use every player index in [0, m)")
         owner.setflags(write=False)
         self.owner = owner

@@ -47,12 +47,14 @@ class LightningField:
 def build_gaussian_field(width: int, height: int, v: float,
                          center: tuple[int, int] = (0, 0)) -> LightningField:
     """Truncated Gaussian strike field with per-axis variance N / v, centered
-    at cell (cx, cy); default center is the top-left cell."""
+    at cell (cx, cy), two integers, not floats or bools; default top-left."""
     if not np.isfinite(v):
         raise ValueError(f"concentration v must be finite, got {v}")
     if v <= 0:
         raise ValueError(f"concentration v must be positive, got {v}")
     cx, cy = center
+    if not all(isinstance(c, (int, np.integer)) and not isinstance(c, bool) for c in center):
+        raise ValueError(f"center must be two integer cell coordinates, got {center}")
     if not (0 <= cx < width and 0 <= cy < height):
         raise ValueError(f"center {center} outside {width}x{height} grid")
     n = width * height

@@ -929,7 +929,8 @@ class TestHeldLabeling:
 
 class TestOnePassGains:
     """A batch priced in one numpy pass gets the cell loop's gains, bit for
-    bit, and plant_gains takes the pass from _ONE_PASS_MIN_CELLS cells up."""
+    bit, plant_gains takes the pass from _ONE_PASS_MIN_CELLS cells up, and
+    the two paths share one memo of box gains."""
 
     @staticmethod
     def cases():
@@ -950,18 +951,19 @@ class TestOnePassGains:
                         yield (cells, LightningField(p / p.sum()), part, connectivity, cost, rng)
 
     @staticmethod
-    def batches(rows, cols, shape, rng):
+    def batches(rows, cols, shape, rng, min_cells):
         """Every cell, the cells on the grid's boundary, and random batches
-        on both sides of the constant."""
+        on both sides of min_cells, the pass's smallest batch."""
         n = rows.size
         height, width = shape
         yield np.arange(n)
         yield np.flatnonzero((rows == 0) | (rows == height - 1) | (cols == 0) | (cols == width - 1))
-        for size in (1, dynamics._ONE_PASS_MIN_CELLS - 1, dynamics._ONE_PASS_MIN_CELLS):
+        for size in (1, min_cells - 1, min_cells):
             if size <= n:
                 yield np.sort(rng.choice(n, size, replace=False))
 
     def test_one_pass_equals_cell_loop(self, monkeypatch):
+        min_cells = dynamics._ONE_PASS_MIN_CELLS
         for guard in (dynamics._CUT_GUARD, np.inf):
             monkeypatch.setattr(dynamics, "_CUT_GUARD", guard)
             for cells, field, part, connectivity, cost, rng in self.cases():
@@ -969,22 +971,33 @@ class TestOnePassGains:
                 for i in range(part.m):
                     rows, cols = part.player_cells(i)
                     s = cells[rows, cols]
-                    for js in self.batches(rows, cols, cells.shape, rng):
+                    for js in self.batches(rows, cols, cells.shape, rng, min_cells):
                         got = []
                         # A scorer each, so neither path reads the other's box
                         # gains; each holds the caller's labeling, that of s.
-                        for path in ("_cell_gains", "_one_pass_gains"):
+                        # An infinite threshold takes the cell loop, 0 the pass.
+                        for threshold in (np.inf, 0):
+                            monkeypatch.setattr(dynamics, "_ONE_PASS_MIN_CELLS", threshold)
                             scorer = dynamics.PlayerScorer(i, cells, field, part, cost,
                                                            connectivity, labeling)
-                            got.append(getattr(scorer, path)(s, js))
+                            got.append(scorer.plant_gains(s, js))
                         assert (got[0] == got[1]).all(), (part.m, connectivity, cost, guard, i)
             monkeypatch.undo()
 
     def test_batch_size_selects_the_path(self, monkeypatch):
         taken = []
-        for path in ("_cell_gains", "_one_pass_gains"):
-            monkeypatch.setattr(dynamics.PlayerScorer, path,
-                                lambda self, s, js, path=path: taken.append(path))
+        cell_gains, read_gains = dynamics.PlayerScorer._cell_gains, dynamics._read_gains
+
+        def cell_loop(self, s, js):
+            taken.append("_cell_gains")
+            return cell_gains(self, s, js)
+
+        def one_pass(*args):
+            taken.append("_read_gains")
+            return read_gains(*args)
+
+        monkeypatch.setattr(dynamics.PlayerScorer, "_cell_gains", cell_loop)
+        monkeypatch.setattr(dynamics, "_read_gains", one_pass)
         cells = np.ones((8, 8), dtype=np.uint8)
         field = build_uniform_field(8, 8)
         part = PlayerPartition.single(8, 8)
@@ -992,7 +1005,39 @@ class TestOnePassGains:
                                        label_cells(cells, field.p, 4))
         for size in (1, dynamics._ONE_PASS_MIN_CELLS - 1, dynamics._ONE_PASS_MIN_CELLS, 64):
             scorer.plant_gains(cells.ravel(), range(size))
-        assert taken == ["_cell_gains"] * 2 + ["_one_pass_gains"] * 2
+        assert taken == ["_cell_gains"] * 2 + ["_read_gains"] * 2
+
+    def test_paths_share_the_box_memo(self, monkeypatch):
+        # A ring around a 3x3 hole, whose 16 local cut cells under
+        # 4-connectivity are its box cells.  Those the pass relabels in one
+        # strip the cell loop reads off the memo, and those the cell loop
+        # relabels, one box each, leave the pass no strip.
+        cells = np.zeros((7, 7), dtype=np.uint8)
+        cells[1:6, 1:6] = 1
+        cells[2:5, 2:5] = 0
+        part, connectivity = PlayerPartition.single(7, 7), 4
+        field = build_uniform_field(7, 7)
+        labeling = label_cells(cells, field.p, connectivity)
+        s = cells.ravel()
+        cut = [j for j in np.flatnonzero(s) if not dynamics.not_cut_table(connectivity)[
+            ring_of(cells, *divmod(j, cells.shape[1]))]]
+        assert len(cut) == 16
+        size = dynamics._ONE_PASS_MIN_CELLS - 1
+        small = [cut[k:k + size] for k in range(0, len(cut), size)]
+        calls = TestLabelingCounts.count_labelings(monkeypatch)
+        scorer = dynamics.PlayerScorer(0, cells, field, part, 0.0, connectivity, labeling)
+        want = scorer.plant_gains(s, range(s.size))
+        assert len(calls) == 1
+        for js in small:
+            assert np.array_equal(scorer.plant_gains(s, js), want[js])
+        assert len(calls) == 1
+        calls.clear()
+        scorer = dynamics.PlayerScorer(0, cells, field, part, 0.0, connectivity, labeling)
+        for js in small:
+            assert np.array_equal(scorer.plant_gains(s, js), want[js])
+        assert len(calls) == len(cut)
+        assert np.array_equal(scorer.plant_gains(s, range(s.size)), want)
+        assert len(calls) == len(cut)
 
 
 class TestCrossPlayerPass:

@@ -30,6 +30,17 @@ class TestGridConfig:
         with pytest.raises(ValueError):
             GridConfig(np.zeros(4))
 
+    @pytest.mark.parametrize("cells", [[[0.5, 1.7]], np.array([[256, 1]]), [[-1]]],
+                             ids=["fraction", "wraps_to_0", "negative"])
+    def test_rejects_values_a_uint8_cast_would_change(self, cells):
+        with pytest.raises(ValueError, match="cells must contain only 0 and 1"):
+            GridConfig(cells)
+
+    @pytest.mark.parametrize("cells", [[[1.0, 0.0]], [[True, False]]], ids=["float", "bool"])
+    def test_loads_integral_floats_and_bools(self, cells):
+        cfg = GridConfig(cells)
+        assert cfg.cells.dtype == np.uint8 and cfg.cells.tolist() == [[1, 0]]
+
     def test_density_bounds(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
@@ -103,6 +114,15 @@ class TestPlayerPartition:
             rows, cols = part.player_cells(i)
             flat = (rows * 7 + cols).tolist()
             assert flat == np.flatnonzero(owner == i).tolist()
+
+    def test_rejects_owners_an_int64_cast_would_change(self):
+        for owner in (np.array([[0.5, 1.2]]), np.array([[0.0, np.nan]])):
+            with pytest.raises(ValueError, match=r"every player index in \[0, m\)"):
+                PlayerPartition(owner, 2)
+
+    def test_loads_integral_float_and_bool_owners(self):
+        for owner in (np.array([[0.0, 1.0]]), np.array([[False, True]])):
+            assert PlayerPartition(owner, 2).owner.tolist() == [[0, 1]]
 
     def test_per_cell(self):
         part = PlayerPartition.per_cell(5, 1)

@@ -48,6 +48,18 @@ class TestGaussianField:
         assert field.center == (0, 0)
         assert field.p[0, 0] == field.p.max()
 
+    @pytest.mark.parametrize("center", [(0.5, 0), (True, 0)], ids=["fraction", "bool"])
+    def test_center_must_be_integers(self, center):
+        # A centre between cells would be recorded truncated, and a run
+        # rebuilt from that record would face another field.
+        with pytest.raises(ValueError, match="center must be two integer cell coordinates"):
+            build_gaussian_field(8, 8, 10.0, center)
+
+    def test_numpy_integer_center_is_recorded_as_ints(self):
+        field = build_gaussian_field(8, 8, 10.0, (np.int64(1), 2))
+        assert field.center == (1, 2) and type(field.center[0]) is int
+        assert field.p[2, 1] == field.p.max()
+
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             build_gaussian_field(8, 8, 0.0)
