@@ -184,10 +184,10 @@ _ONE_PASS_MIN_CELLS = 20
 # Neighbor offsets in the order plant gains sum their masses; the first four
 # are the 4-connected ones.  Bit k of a ring mask is the cell at _OFFSETS[k].
 _OFFSETS = ((0, 1), (0, -1), (1, 0), (-1, 0), (1, 1), (1, -1), (-1, 1), (-1, -1))
-# _strip_gains packs component boxes into strips of at most this many cells,
-# one labeling each; a larger box gets a strip of its own.  A labeling costs
-# about 12 us before its first cell, which a 64x64, m = 1 solve paid on some
-# 3,000 one-box relabels.
+# _strip_gains packs its rounds' regions into strips of at most this many
+# cells, one labeling each; a larger region gets a strip of its own.  A
+# labeling costs about 12 us before its first cell, which a 64x64, m = 1 solve
+# paid on some 3,000 one-box relabels.
 _STRIP_CELLS = 1 << 15
 
 
@@ -296,7 +296,8 @@ class PlayerScorer:
 
         A batch of at least _ONE_PASS_MIN_CELLS cells is priced in one numpy
         pass (_read_gains), and its box cells not yet in box_gains are
-        relabeled together, packed into strips (_strip_gains); a smaller one
+        relabeled together, a round of distinct components at a time and
+        rounds packed into strips (_strip_gains); a smaller one
         is priced cell by cell (_cell_gains), one box relabel per box cell
         (_box_gain).  The two give the same gains bit for bit and share
         box_gains, keyed by grid cell, for the labeling held.
@@ -311,9 +312,9 @@ class PlayerScorer:
         if box.any():
             memo = self.box_gains
             cells = list(zip(self.rows[js[box]].tolist(), self.cols[js[box]].tolist()))
-            new = [cell for cell in cells if cell not in memo]
-            memo.update(zip(new, _strip_gains(labeling, self.p, self.owner, new, self.cost,
-                                              self.connectivity)))
+            memo.update(_strip_gains(labeling, self.p, self.owner,
+                                     [cell for cell in cells if cell not in memo], self.cost,
+                                     self.connectivity))
             gains[box] = [memo[cell] for cell in cells]
         return gains
 
@@ -387,34 +388,46 @@ def _read_gains(labeling, p: np.ndarray, ys: np.ndarray, xs: np.ndarray,
                 planted: np.ndarray, counts, owners, cost: float, conn: int):
     """Plant gains of cells (ys, xs), planted where planted is set, read off
     labeling in one numpy pass for each cell's owner: counts[labels, owners],
-    owners a column of the cells' owners or one scalar, gives the trees of
-    each row's owner per component, 0 for label 0.  Each cell's neighbor
-    labels, read at _flat_offsets through a copy with an empty border as
-    _label_strip reads a strip, in _OFFSETS order with repeats zeroed, form
-    the columns of _column_gains, so every gain equals the cell loop's
-    exactly.  Returns the gains and the mask of the box cells, whose gains
-    are left for _strip_gains: local cut cells and removals within
+    owners the cells' owners or one scalar, gives the trees of each cell's
+    owner per component, 0 for label 0.  Each cell's neighbor labels, read
+    at _flat_offsets through a copy with an empty border as _label_strip
+    reads a strip, in _OFFSETS order with repeats zeroed, form its column of
+    near, whose rows _column_gains takes one at a time, so every gain equals
+    the cell loop's exactly.  The copy's labels are intp, which numpy indexes
+    with no cast.  Returns the gains and the mask of the box cells, whose
+    gains are left for _strip_gains: local cut cells and removals within
     _CUT_GUARD of 0."""
     height, width = labeling.labels.shape
-    labels = np.zeros((height + 2, width + 2), dtype=labeling.labels.dtype)
+    labels = np.zeros((height + 2, width + 2), dtype=np.intp)
     labels[1:-1, 1:-1] = labeling.labels
     labels = labels.ravel()
     g = (ys + 1) * (width + 2) + xs + 1
-    near = labels[np.add.outer(g, _flat_offsets(width + 2))]
-    ring = np.packbits(near > 0, axis=1, bitorder="little")[:, 0]
-    near = _distinct(near[:, :conn])
+    near = labels[np.add.outer(_flat_offsets(width + 2), g)]
+    ring = _ring_masks(near)
+    near = _distinct(near[:conn])
     # A planted cell with a neighbor under the connectivity (less) has one
-    # column, its component less the cell's p and tree; one without has none.
-    near[planted] = 0
+    # neighbor, its component less the cell's p and tree; one without has none.
+    near *= ~planted
     less = planted & ((ring & ((1 << conn) - 1)) != 0)
-    near[less, 0] = labels[g[less]]
+    near[0, less] = labels[g[less]]
     mass = np.append(0.0, labeling.masses)[near]
     count = counts[near, owners]
     p = p[ys, xs]
-    mass[:, 0] -= p * less
-    count[:, 0] -= less
+    mass[0] -= p * less
+    count[0] -= less
     gains = _column_gains(p, mass, count, cost)
     return gains, planted & ~(not_cut_table(conn)[ring] & (np.abs(gains) > _CUT_GUARD))
+
+
+# Row k of a ring mask's eight bit planes shifts to bit k.
+_RING_SHIFTS = np.arange(len(_OFFSETS), dtype=np.uint8)[:, None]
+
+
+def _ring_masks(near: np.ndarray) -> np.ndarray:
+    """Each column's ring mask, as uint8: bit k is set when the label in row
+    k, the neighbor at _OFFSETS[k], is planted.  The eight rows are shifted
+    and ORed together."""
+    return np.bitwise_or.reduce((near > 0).view(np.uint8) << _RING_SHIFTS, axis=0)
 
 
 class _PairCounts:
@@ -450,87 +463,115 @@ def _tree_counts(labeling, part: PlayerPartition):
 
 
 def _strip_gains(labeling, p: np.ndarray, owner: np.ndarray, cells: list, cost: float,
-                 conn: int) -> list:
+                 conn: int) -> dict:
     """Plant gain of each planted cell (y, x) in cells of labeling, distinct,
     for the cell's owner, off a labeling of its component's bounding box with
-    the cell cleared (the cell loop's _box_gain), with one labeling per strip
-    of packed boxes.  Each cell puts its component's box, the cell cleared,
-    into a strip: boxes side by side with an empty column between them and an
-    empty border, so no piece spans two boxes and a cell's neighbors off its
-    box read empty.  Sorted by height, boxes of one strip pad little.  Within
-    a piece the strip's raster order is its box's, so bincount sums the
-    masses of _box_gain bit for bit."""
-    boxes = [labeling.boxes[labeling.labels.item(y, x) - 1] for y, x in cells]
-    order = sorted(range(len(boxes)), key=lambda k: boxes[k][0].stop - boxes[k][0].start)
+    the cell cleared (the cell loop's _box_gain), as a dict by cell.
+
+    Round (o, r) holds the r-th cell, in cells' order, of owner o in each
+    component that holds one, so one mask of o's cells serves the round.
+    Planted cells of different components are never neighbors, so clearing
+    one cell per component splits each component as clearing that cell
+    alone would.  A round's region is the bounding box of its components'
+    boxes, copied as its planted cells: other components there become pieces
+    that no cell of the round reads.  Regions, their round's cells cleared,
+    are labeled a strip at a time: side by side with an empty column between
+    them and an empty border, so no piece spans two regions and a cell's
+    neighbors off its region read empty.  Sorted by height, regions of one
+    strip pad little.  Within a piece the strip's raster order is the grid's,
+    so bincount sums the masses of _box_gain bit for bit."""
+    label_at, owner_at, boxes = labeling.labels.item, owner.item, labeling.boxes
+    # The rounds by (owner, rank); a cell's rank counts the cells of its
+    # (owner, component) pair met before it, in met.
+    met, rounds = {}, {}
+    for cell in cells:
+        pair = owner_at(*cell), label_at(*cell)
+        rank = met[pair] = met.get(pair, -1) + 1
+        rounds.setdefault((pair[0], rank), []).append(cell)
+    rounds = list(rounds.values())
+    regions = []
+    for round_ in rounds:
+        if len(round_) == 1:
+            regions.append(boxes[label_at(*round_[0]) - 1])
+            continue
+        rows, cols = zip(*[boxes[label_at(*cell) - 1] for cell in round_])
+        regions.append((slice(min(s.start for s in rows), max(s.stop for s in rows)),
+                        slice(min(s.start for s in cols), max(s.stop for s in cols))))
+    order = sorted(range(len(regions)), key=lambda r: regions[r][0].stop - regions[r][0].start)
     # width: the last strip's columns right of its left border.
     strips, width = [], 0
-    for k in order:
-        rows, cols = boxes[k]
+    for r in order:
+        rows, cols = regions[r]
         width += cols.stop - cols.start + 1
         if not strips or (rows.stop - rows.start + 2) * (1 + width) > _STRIP_CELLS:
             strips.append([])
             width = cols.stop - cols.start + 1
-        strips[-1].append(k)
-    gains = [0.0] * len(boxes)
+        strips[-1].append(r)
+    gains = {}
     for strip in strips:
-        for k, gain in zip(strip, _label_strip(labeling, p, owner, [cells[k] for k in strip],
-                                               [boxes[k] for k in strip], cost, conn)):
-            gains[k] = gain
+        strip_rounds = [rounds[r] for r in strip]
+        gains.update(zip([cell for round_ in strip_rounds for cell in round_],
+                         _label_strip(labeling, p, owner, strip_rounds,
+                                      [regions[r] for r in strip], cost, conn)))
     return gains
 
 
-def _label_strip(labeling, p: np.ndarray, owner: np.ndarray, cells: list, boxes: list,
+def _label_strip(labeling, p: np.ndarray, owner: np.ndarray, rounds: list, regions: list,
                  cost: float, conn: int) -> list:
-    """Label one strip of _strip_gains, the boxes of cells left to right,
-    the tallest last, each with its cell's owner's trees, and return each
-    cell's gain; its neighbors are read at _flat_offsets through the strip's
-    empty border."""
-    height = boxes[-1][0].stop - boxes[-1][0].start + 2
-    width = 1 + sum(cols.stop - cols.start + 1 for _, cols in boxes)
+    """Label one strip of _strip_gains, the regions of rounds left to right,
+    the tallest last, each with its round's owner's trees, and return the
+    gains of the rounds' cells in turn; their neighbors are read at
+    _flat_offsets through the strip's empty border."""
+    height = regions[-1][0].stop - regions[-1][0].start + 2
+    width = 1 + sum(cols.stop - cols.start + 1 for _, cols in regions)
     sub = np.zeros((height, width), dtype=bool)
     strip_p = np.zeros((height, width))
     mine = np.zeros((height, width), dtype=bool)
     at, x0 = [], 1
-    for (y, x), box in zip(cells, boxes):
-        rows, cols = box
+    for cells, region in zip(rounds, regions):
+        rows, cols = region
         dst = (slice(1, 1 + rows.stop - rows.start), slice(x0, x0 + cols.stop - cols.start))
-        np.equal(labeling.labels[box], labeling.labels.item(y, x), out=sub[dst])
-        strip_p[dst] = p[box]
-        np.equal(owner[box], owner.item(y, x), out=mine[dst])
-        y, x = 1 + y - rows.start, x0 + x - cols.start
-        sub[y, x] = False
-        at.append(y * width + x)
+        np.greater(labeling.labels[region], 0, out=sub[dst])
+        strip_p[dst] = p[region]
+        np.equal(owner[region], owner.item(*cells[0]), out=mine[dst])
+        for y, x in cells:
+            y, x = 1 + y - rows.start, x0 + x - cols.start
+            sub[y, x] = False
+            at.append(y * width + x)
         x0 += cols.stop - cols.start + 1
     pieces = label_cells(sub, strip_p, conn)
     own = np.bincount(pieces.labels[mine], minlength=pieces.n_components + 1)
     own[0] = 0
-    near = _distinct(pieces.labels.ravel()[np.add.outer(at, _flat_offsets(width)[:conn])])
+    near = _distinct(pieces.labels.ravel()[np.add.outer(_flat_offsets(width)[:conn], at)])
     return _column_gains(strip_p.ravel()[at], np.append(0.0, pieces.masses)[near], own[near],
                          cost).tolist()
 
 
 def _distinct(near: np.ndarray) -> np.ndarray:
-    """Rows of neighbor labels with each repeat of a label in its row set to
-    0, the empty label."""
-    for k in range(1, near.shape[1]):
-        near[(near[:, :k] == near[:, k, None]).any(axis=1), k] = 0
+    """Rows of neighbor labels, a column per cell, with each repeat of a
+    label in its column set to 0, the empty label: each row is compared in
+    place with every row above it, in order."""
+    for k in range(1, len(near)):
+        row = near[k]
+        for j in range(k):
+            row *= near[j] != row
     return near
 
 
 def _column_gains(p: np.ndarray, mass: np.ndarray, count: np.ndarray,
                   cost: float) -> np.ndarray:
-    """_plant_gain of cells of strike probabilities p, row k's neighbors the
-    (mass, count) pairs of row k, taken a column at a time in _plant_gain's
-    order.  A column of mass 0.0 and count 0, an absent neighbor, adds 0.0 to
-    the mass and takes 0.0 off the gain, so each gain equals _plant_gain's
-    over the row's other pairs bit for bit."""
+    """_plant_gain of cells of strike probabilities p, column k's neighbors
+    the (mass, count) pairs of column k, taken a row at a time in
+    _plant_gain's order.  A row entry of mass 0.0 and count 0, an absent
+    neighbor, adds 0.0 to the mass and takes 0.0 off the gain, so each gain
+    equals _plant_gain's over the column's other pairs bit for bit."""
     total = np.zeros(len(p))
-    for k in range(mass.shape[1]):
-        total += mass[:, k]
+    for row in mass:
+        total += row
     merged = p + total
     gains = 1.0 - merged - cost
-    for k in range(mass.shape[1]):
-        gains -= count[:, k] * (merged - mass[:, k])
+    for mass_k, count_k in zip(mass, count):
+        gains -= count_k * (merged - mass_k)
     return gains
 
 
@@ -871,15 +912,15 @@ def _flip_gains(config: GridConfig, field, part: PlayerPartition, cost: float,
     of an empty cell, less that of a planted one, every cell read off
     labeling in one pass (_read_gains) against one table of trees per
     (component, owner) (_tree_counts), and the box cells of every player
-    relabeled together in strips (_strip_gains)."""
+    relabeled together in rounds packed into strips (_strip_gains)."""
     planted = config.cells.ravel() != 0
     ys, xs = np.divmod(np.arange(config.n_cells), config.width)
     planting, box = _read_gains(labeling, field.p, ys, xs, planted, _tree_counts(labeling, part),
-                                part.owner.reshape(-1, 1), cost, connectivity)
+                                part.owner.ravel(), cost, connectivity)
     if box.any():
-        planting[box] = _strip_gains(labeling, field.p, part.owner,
-                                     list(zip(ys[box].tolist(), xs[box].tolist())), cost,
-                                     connectivity)
+        cells = list(zip(ys[box].tolist(), xs[box].tolist()))
+        gains = _strip_gains(labeling, field.p, part.owner, cells, cost, connectivity)
+        planting[box] = [gains[cell] for cell in cells]
     return np.where(planted, -planting, planting)
 
 
@@ -896,8 +937,9 @@ def is_nash(config: GridConfig, field, part: PlayerPartition, cost: float,
     reads it too, its component less the tree, and only removing a local cut
     cell, or a tree whose gain lies within _CUT_GUARD of 0, relabels the
     bounding box of the tree's component with that cell cleared.  The guard
-    keeps the sign of every gain that of the relabeled masses.  Those boxes,
-    of every player, are labeled one strip of packed boxes at a time.  Each
+    keeps the sign of every gain that of the relabeled masses.  Those cells,
+    of every player, are relabeled a round at a time, one cell of each
+    component and one owner a round, and a strip of rounds per labeling.  Each
     gain equals, bit for bit, a PlayerScorer's plant_gains for the owner.
     max_gain may differ from a difference of two utilities by rounding; the
     witness is the first cell, row-major, that attains it.  "exhaustive"

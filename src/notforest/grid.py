@@ -111,15 +111,16 @@ class PlayerPartition:
     __slots__ = ("owner", "m", "width", "height", "_starts", "_order")
 
     def __init__(self, owner, m: int) -> None:
+        # A copy, so the caller's array stays writeable and later writes to
+        # it, or to its base, do not reach the checked owners.
         given = np.asarray(owner)
         with np.errstate(invalid="ignore"):
-            owner = np.ascontiguousarray(given, dtype=np.int64)
+            owner = np.array(given, dtype=np.int64, order="C")
         if owner.ndim != 2:
             raise ValueError("owner must be a 2-D array")
         flat = owner.ravel()
         # An owner the cast changes, such as 0.5, is no player index.
-        valid = ((owner is given or np.array_equal(owner, given))
-                 and 0 <= flat.min() and flat.max() < m)
+        valid = np.array_equal(owner, given) and 0 <= flat.min() and flat.max() < m
         counts = np.bincount(flat, minlength=m) if valid else None
         if not valid or (counts == 0).any():
             raise ValueError("owner map must use every player index in [0, m)")
@@ -203,12 +204,17 @@ class ComponentLabeling:
         return self._boxes
 
 
+def _masses(labels: np.ndarray, n_components: int, p: np.ndarray) -> np.ndarray:
+    """Strike-probability mass of each component of labels under p, of the
+    same shape: bincount sums each component's cells in raster order."""
+    return np.bincount(labels.ravel(), weights=p.ravel(), minlength=n_components + 1)[1:]
+
+
 def label_cells(cells: np.ndarray, p: np.ndarray, connectivity: int) -> ComponentLabeling:
     """Label a raw 0/1 cell array under the strike probabilities p of the
     same shape; label_components checks the shapes first."""
     labels, n = ndimage.label(cells, structure=neighbor_structure(connectivity))
-    masses = np.bincount(labels.ravel(), weights=p.ravel(), minlength=n + 1)[1:]
-    return ComponentLabeling(labels, masses)
+    return ComponentLabeling(labels, _masses(labels, n, p))
 
 
 def label_components(config: GridConfig, field, connectivity: int = 4) -> ComponentLabeling:

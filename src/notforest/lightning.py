@@ -23,7 +23,9 @@ class LightningField:
     __slots__ = ("width", "height", "p", "center", "v")
 
     def __init__(self, p: np.ndarray, center=None, v: float | None = None) -> None:
-        p = np.ascontiguousarray(p, dtype=np.float64)
+        # A copy, as GridConfig makes of its cells: the caller's array stays
+        # writeable, and later writes to it or its base do not reach p.
+        p = np.array(p, dtype=np.float64, order="C")
         if p.ndim != 2:
             raise ValueError("p must be a 2-D array")
         if not np.isfinite(p).all():

@@ -15,7 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import DynamicsParams, RunResult, best_response_dynamics
-from .grid import GridConfig, PlayerPartition, label_components, welfare
+from .grid import (
+    ComponentLabeling,
+    GridConfig,
+    PlayerPartition,
+    _masses,
+    label_components,
+    welfare,
+)
 from .lightning import LightningField, recenter_random
 
 
@@ -111,14 +118,18 @@ def fragility_eval(config: GridConfig, field: LightningField, cost: float,
                    connectivity: int = 4) -> FragilityResult:
     """Welfare of a fixed configuration after the lightning epicenter is
     relocated uniformly at random, averaged over trials, against the welfare
-    under the original field.  rng draws the new epicenters."""
+    under the original field.  rng draws the new epicenters.  The grid is
+    labeled once: a relocated field changes only the components' masses,
+    summed as label_cells sums them."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    baseline = welfare(config, field, cost, connectivity=connectivity)
+    labeling = label_components(config, field, connectivity)
+    baseline = welfare(config, field, cost, labeling)
     shifted = np.empty(trials)
     for t in range(trials):
         moved = recenter_random(field, rng)
-        shifted[t] = welfare(config, moved, cost, connectivity=connectivity)
+        masses = _masses(labeling.labels, labeling.n_components, moved.p)
+        shifted[t] = welfare(config, moved, cost, ComponentLabeling(labeling.labels, masses))
     return FragilityResult(float(shifted.mean()), baseline, shifted)
 
 

@@ -2,6 +2,7 @@
 best-response loop, and the equilibrium certifier."""
 
 import hashlib
+from collections import Counter
 from functools import cache
 
 import numpy as np
@@ -566,17 +567,18 @@ class TestLabelingCounts:
 
     def test_single_optimizer_64_labelings_are_pinned(self, monkeypatch):
         # A 64x64, v = 10, m = 1 solve at seed 0 prices every batch in one
-        # pass, each batch's removals off one strip of packed component
-        # boxes, and so does its single-flip is_nash.  Pricing each box on a
-        # labeling of its own took 2,966 and 145 labelings.
+        # pass, each batch's removals off strips of packed rounds of
+        # distinct components, and so does its single-flip is_nash.  Pricing
+        # each box on a labeling of its own took 2,966 and 145 labelings, and
+        # packing one box per removal into the strips 303 and 4.
         field = build_gaussian_field(64, 64, 10.0)
         part = PlayerPartition.single(64, 64)
         calls = self.count_labelings(monkeypatch)
         result = best_response_dynamics(field, part, 0.0, DynamicsParams(seed=0))
-        assert len(calls) == 303
+        assert len(calls) == 298
         calls.clear()
         is_nash(result.config, field, part, 0.0)
-        assert len(calls) == 4
+        assert len(calls) == 3
 
     def test_unchanged_grid_is_labeled_once(self, monkeypatch):
         calls = self.count_labelings(monkeypatch)
@@ -1117,6 +1119,91 @@ class TestCrossPlayerPass:
         for owners in (part.owner.ravel(), np.roll(part.owner.ravel(), 129)):
             got = counts[labels[:, None], owners[:, None]][:, 0]
             assert (got == ((labels[owners] == labels) & (labels > 0))).all()
+
+
+class TestStripRounds:
+    """_strip_gains relabels a round of cells at a time, at most one cell of
+    each component and one owner a round: every gain equals, with ==, the
+    cell loop's _box_gain for the cell's owner."""
+
+    @staticmethod
+    def cases():
+        # Dense random grids, so components hold many trees, each of whose
+        # trees is a batch cell, in a shuffled order.
+        rng = np.random.default_rng(61)
+        for height, width in ((10, 10), (9, 14)):
+            parts = [PlayerPartition.single(width, height),
+                     PlayerPartition.per_cell(width, height)]
+            if height == width:
+                parts.append(PlayerPartition.square_tiling(width, 4))
+            for part in parts:
+                for connectivity in (4, 8):
+                    for cost in (0.0, 0.3):
+                        p = rng.random((height, width))
+                        cells = (rng.random((height, width)) < 0.65).astype(np.uint8)
+                        trees = [tuple(cell) for cell in np.argwhere(cells).tolist()]
+                        batch = [trees[k] for k in rng.permutation(len(trees))]
+                        yield cells, LightningField(p / p.sum()), part, connectivity, cost, batch
+
+    def test_rounds_equal_box_gains(self, monkeypatch):
+        rounds = []
+        label_strip = dynamics._label_strip
+
+        def recorded(labeling, p, owner, cells, regions, cost, connectivity):
+            rounds.extend(cells)
+            return label_strip(labeling, p, owner, cells, regions, cost, connectivity)
+
+        monkeypatch.setattr(dynamics, "_label_strip", recorded)
+        shared = []
+        for cells, field, part, connectivity, cost, batch in self.cases():
+            labeling = label_cells(cells, field.p, connectivity)
+            rounds.clear()
+            got = dynamics._strip_gains(labeling, field.p, part.owner, batch, cost, connectivity)
+            scorers = {}
+            for y, x in batch:
+                i = int(part.owner[y, x])
+                if i not in scorers:
+                    scorers[i] = dynamics.PlayerScorer(i, cells, field, part, cost, connectivity,
+                                                       labeling)
+                assert got[y, x] == scorers[i]._box_gain(y, x), (part.m, connectivity, cost)
+            # Every cell is in one round; a round holds one owner's cells in
+            # distinct components, and each owner has as many rounds as the
+            # most cells it has in one component.
+            assert sorted(cell for round_ in rounds for cell in round_) == sorted(batch)
+            for round_ in rounds:
+                labels = [labeling.labels[cell] for cell in round_]
+                assert len(set(labels)) == len(labels)
+                assert len({part.owner[cell] for cell in round_}) == 1
+            per_pair = Counter((part.owner[cell], labeling.labels[cell]) for cell in batch)
+            most = {}
+            for (i, _), n in per_pair.items():
+                most[i] = max(most.get(i, 0), n)
+            assert len(rounds) == sum(most.values())
+            shared.append(max(Counter(labeling.labels[cell] for cell in batch).values()))
+        # Components held up to dozens of batch cells, and rounds held
+        # cells of several components.
+        assert min(shared) >= 2 and max(shared) > 20
+
+    def test_distinct_matches_a_per_cell_loop(self):
+        # Rows of labels with zeros and repeats, one column per cell; a
+        # label met before in its column becomes 0.
+        rng = np.random.default_rng(71)
+        for width in range(2, 9):
+            cells = rng.integers(0, 4, size=(400, width))
+            want = []
+            for labels in cells.tolist():
+                want.append([0 if lab in labels[:k] else lab for k, lab in enumerate(labels)])
+            for dtype in (np.int32, np.intp):
+                got = dynamics._distinct(cells.T.astype(dtype))
+                assert (got.T == np.array(want)).all(), (width, dtype)
+
+    def test_ring_masks_match_packbits(self):
+        rng = np.random.default_rng(72)
+        for dtype in (np.int32, np.intp):
+            near = rng.integers(0, 3, size=(8, 1000)).astype(dtype)
+            want = np.packbits(near > 0, axis=0, bitorder="little")[0]
+            got = dynamics._ring_masks(near)
+            assert got.dtype == np.uint8 and (got == want).all()
 
 
 class TestBlockScorer:

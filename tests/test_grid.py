@@ -124,6 +124,18 @@ class TestPlayerPartition:
         for owner in (np.array([[0.0, 1.0]]), np.array([[False, True]])):
             assert PlayerPartition(owner, 2).owner.tolist() == [[0, 1]]
 
+    def test_owner_map_is_copied(self):
+        # The caller's array stays writeable, and a write through its base
+        # after construction does not reach the checked owners.
+        given = np.zeros((2, 2), dtype=np.int64)
+        PlayerPartition(given, 1)
+        assert given.flags.writeable
+        base = np.zeros(4, dtype=np.int64)
+        part = PlayerPartition(base.reshape(2, 2), 1)
+        base[1] = 5
+        assert part.owner.tolist() == [[0, 0], [0, 0]]
+        assert part.player_cells(0)[0].tolist() == [0, 0, 1, 1]
+
     def test_per_cell(self):
         part = PlayerPartition.per_cell(5, 1)
         assert part.m == 5

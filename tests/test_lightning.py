@@ -94,6 +94,17 @@ class TestLightningFieldValidation:
             with pytest.raises(ValueError, match="must be finite"):
                 LightningField(np.array(p))
 
+    def test_field_is_copied(self):
+        # The caller's array stays writeable, and a write through its base
+        # after construction does not reach p.
+        given = np.full((2, 2), 0.25)
+        LightningField(given)
+        assert given.flags.writeable
+        base = np.full(4, 0.25)
+        field = LightningField(base.reshape(2, 2))
+        base[0] = -5.0
+        assert (field.p == 0.25).all() and field.p.sum() == 1.0
+
     def test_read_only(self):
         field = build_uniform_field(2, 2)
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from notforest import (
     DynamicsParams,
@@ -19,6 +20,8 @@ from notforest import (
     fines_experiment,
     fire_break_correlation,
     fragility_eval,
+    metrics,
+    welfare,
 )
 
 
@@ -180,6 +183,34 @@ class TestFragility:
         res = fragility_eval(GridConfig.full(6, 6), field, 0.0, trials=5,
                              rng=np.random.default_rng(0))
         assert res.mean_shifted_welfare == pytest.approx(0.0)
+
+    def test_labels_once_and_equals_relabeled_welfare(self, monkeypatch):
+        # One labeling per eval; each shifted welfare equals, with ==, the
+        # welfare of the grid labeled afresh under that trial's field.
+        field = build_gaussian_field(12, 12, 10.0)
+        cfg = random_config(np.random.default_rng(6), 12, 12, density=0.6)
+        moved = []
+        recenter = metrics.recenter_random
+
+        def recorded(*args):
+            moved.append(recenter(*args))
+            return moved[-1]
+
+        calls = []
+        label = ndimage.label
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return label(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, "recenter_random", recorded)
+        monkeypatch.setattr(ndimage, "label", counted)
+        res = fragility_eval(cfg, field, 0.1, trials=20, rng=np.random.default_rng(2))
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert len(moved) == 20 and len({f.center for f in moved}) > 1
+        for got, f in zip(res.shifted_welfares, moved):
+            assert got == welfare(cfg, f, 0.1)
 
     def test_trial_count_respected(self):
         field = build_gaussian_field(6, 6, 10.0)
